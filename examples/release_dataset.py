@@ -37,10 +37,10 @@ def main() -> None:
     size_kib = output.stat().st_size / 1024
     print(f"wrote {count:,} events to {output} ({size_kib:,.0f} KiB)")
 
-    reloaded = AnalysisDataset(
-        events=read_events(output),
-        vantages=deployment.honeypots,
-        window=result.window,
+    reloaded = AnalysisDataset.from_events(
+        read_events(output),
+        deployment.honeypots,
+        result.window,
         telescope=result.telescope,
         leak_experiment=deployment.leak_experiment,
     )

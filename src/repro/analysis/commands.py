@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset
-from repro.sim.events import CapturedEvent
 
 __all__ = ["CommandSummary", "command_summary", "classify_command", "COMMAND_CLASSES"]
 
@@ -58,7 +56,7 @@ class CommandSummary:
 def _commands_map_shard(view) -> dict:
     """One shard's mergeable command aggregate: per-command counts plus
     the global first-sighting key ``(vantage position, shard, row, tuple
-    position)`` that reproduces the row path's Counter insertion order."""
+    position)`` that orders the merged Counter by first sighting."""
     from repro.analysis.contingency_engine import _sorted_view_tables
 
     attempts = 0
@@ -133,42 +131,12 @@ def _commands_reduce(partials, top: int) -> CommandSummary:
     )
 
 
-def command_summary(
-    dataset_or_events: AnalysisDataset | Iterable[CapturedEvent],
-    top: int = 10,
-) -> CommandSummary:
+def command_summary(dataset: AnalysisDataset, top: int = 10) -> CommandSummary:
     """Summarize captured shell sessions."""
-    if isinstance(dataset_or_events, AnalysisDataset) and dataset_or_events.tables is not None:
-        from repro.experiments.base import run_shard_wise
+    from repro.experiments.base import run_shard_wise
 
-        return run_shard_wise(
-            _commands_map_shard,
-            lambda partials: _commands_reduce(partials, top),
-            dataset_or_events,
-        )
-    events = (
-        dataset_or_events.events
-        if isinstance(dataset_or_events, AnalysisDataset)
-        else list(dataset_or_events)
-    )
-    attempts = 0
-    logged_in = 0
-    commands: Counter = Counter()
-    classes: Counter = Counter()
-    for event in events:
-        if not event.attempted_login:
-            continue
-        attempts += 1
-        if not event.commands:
-            continue
-        logged_in += 1
-        for command in event.commands:
-            commands[command] += 1
-            classes[classify_command(command)] += 1
-    return CommandSummary(
-        sessions_with_login_attempts=attempts,
-        sessions_logged_in=logged_in,
-        total_commands=sum(commands.values()),
-        top_commands=tuple(commands.most_common(top)),
-        class_counts=dict(classes),
+    return run_shard_wise(
+        _commands_map_shard,
+        lambda partials: _commands_reduce(partials, top),
+        dataset,
     )

@@ -67,31 +67,26 @@ SLICES: dict[str, TrafficSlice] = {
 class AnalysisDataset:
     """Queryable captured dataset (honeypots + telescope).
 
-    Backed either by row events (``events=...``, the generic path used
-    when loading NDJSON datasets) or by per-vantage columnar
-    :class:`~repro.io.table.EventTable` objects (``tables=...``, the
-    zero-copy path out of the simulator).  With tables, row objects are
-    materialized lazily per vantage, and set/count queries run on numpy
-    columns directly.
+    Backed by per-vantage columnar :class:`~repro.io.table.EventTable`
+    objects (``tables``, in vantage order): the zero-copy path out of the
+    simulator, or :meth:`from_events` for row records such as a reloaded
+    NDJSON release.  Set/count queries run on numpy columns directly;
+    row objects are materialized lazily per vantage for the analyses that
+    still iterate events.
     """
 
     def __init__(
         self,
-        events: Optional[Iterable[CapturedEvent]] = None,
+        tables: Mapping[str, EventTable],
         vantages: Sequence[VantagePoint] = (),
         window: Optional[ObservationWindow] = None,
         telescope: Optional[TelescopeCapture] = None,
         leak_experiment: Optional[LeakExperiment] = None,
         rule_engine: Optional[RuleEngine] = None,
-        tables: Optional[Mapping[str, EventTable]] = None,
         shard_tables: Optional[Sequence[Mapping[str, EventTable]]] = None,
         map_workers: int = 1,
     ) -> None:
-        if events is None and tables is None:
-            raise ValueError("provide events or tables")
-        self.tables: Optional[dict[str, EventTable]] = (
-            dict(tables) if tables is not None else None
-        )
+        self.tables: dict[str, EventTable] = dict(tables)
         # Per-shard table views of the same rows (merge order), set by the
         # orchestrator so map-reduce drivers can regroup work shard-wise;
         # ``map_workers`` is their fan-out budget.
@@ -100,16 +95,13 @@ class AnalysisDataset:
             if shard_tables is not None else None
         )
         self.map_workers = int(map_workers)
-        self._events: Optional[list[CapturedEvent]] = (
-            list(events) if events is not None else None
-        )
+        self._events: Optional[list[CapturedEvent]] = None
         self.vantages: list[VantagePoint] = list(vantages)
         self.window = window
         self.telescope = telescope
         self.leak_experiment = leak_experiment
         self.classifier = MaliciousnessClassifier(rule_engine)
 
-        self._by_vantage_cache: Optional[dict[str, list[CapturedEvent]]] = None
         self._vantage_by_id = {vantage.vantage_id: vantage for vantage in self.vantages}
         self._fingerprint_cache: dict[bytes, Optional[str]] = {}
         self._malicious_cache: dict[tuple[bytes, int, bool], bool] = {}
@@ -140,13 +132,37 @@ class AnalysisDataset:
             map_workers=map_workers,
         )
 
+    @classmethod
+    def from_events(
+        cls,
+        events: Iterable[CapturedEvent],
+        vantages: Sequence[VantagePoint],
+        window: Optional[ObservationWindow] = None,
+        **kwargs,
+    ) -> "AnalysisDataset":
+        """Build a dataset from row records.
+
+        Each listed vantage gets one table, in ``vantages`` order (the
+        layout :meth:`SimulationResult.tables` has); rows keep their
+        relative order within a vantage.  A row from a vantage that is
+        not listed raises ``ValueError``.
+        """
+        tables = {vantage.vantage_id: EventTable.for_vantage(vantage) for vantage in vantages}
+        for event in events:
+            table = tables.get(event.vantage_id)
+            if table is None:
+                raise ValueError(f"event from unlisted vantage {event.vantage_id!r}")
+            table.append_event(event)
+        return cls(tables=tables, vantages=vantages, window=window, **kwargs)
+
     # ------------------------------------------------------------------
-    # row/table views
+    # row view
     # ------------------------------------------------------------------
 
     @property
     def events(self) -> list[CapturedEvent]:
-        """All honeypot events as row objects (materialized lazily)."""
+        """All honeypot events as row objects, vantage-major (read-only,
+        materialized lazily)."""
         if self._events is None:
             rows: list[CapturedEvent] = []
             for table in self.tables.values():
@@ -154,42 +170,17 @@ class AnalysisDataset:
             self._events = rows
         return self._events
 
-    @events.setter
-    def events(self, events: Iterable[CapturedEvent]) -> None:
-        """Replace the row view (tests build datasets this way); any
-        columnar backing no longer describes the rows, so drop it."""
-        self._events = list(events)
-        self.tables = None
-        self.shard_tables = None
-        self._by_vantage_cache = None
-        self._oracle = None
-        self._contingency = None
-        self._source_aggregates = None
-        self._shard_coder = None
-        self._shard_coder_digest = None
-
-    def _by_vantage(self) -> dict[str, list[CapturedEvent]]:
-        if self._by_vantage_cache is None:
-            grouped: dict[str, list[CapturedEvent]] = defaultdict(list)
-            for event in self.events:
-                grouped[event.vantage_id].append(event)
-            self._by_vantage_cache = grouped
-        return self._by_vantage_cache
-
     # ------------------------------------------------------------------
     # columnar contingency engine
     # ------------------------------------------------------------------
 
     def contingency(self):
-        """The shared columnar contingency engine (table-backed only).
+        """The shared columnar contingency engine.
 
         Built shard-wise on first use and cached keyed by a cheap table
         digest, so every §3.3 comparison experiment draws from the same
-        precomputed count matrices.  Returns ``None`` for row-backed
-        datasets — callers fall back to the row-wise path.
+        precomputed count matrices.
         """
-        if self.tables is None:
-            return None
         from repro.analysis.contingency_engine import build_engine, dataset_digest
 
         digest = dataset_digest(self.tables)
@@ -198,10 +189,8 @@ class AnalysisDataset:
         return self._contingency
 
     def source_aggregates(self):
-        """Per-source behavioral aggregates (table-backed only), built
-        shard-wise and cached like :meth:`contingency`."""
-        if self.tables is None:
-            return None
+        """Per-source behavioral aggregates, built shard-wise and cached
+        like :meth:`contingency`."""
         from repro.analysis.contingency_engine import (
             build_source_aggregates,
             dataset_digest,
@@ -236,11 +225,8 @@ class AnalysisDataset:
         """GreyNoise-style actor reputation over the whole dataset."""
         if self._oracle is None:
             oracle = ReputationOracle(classifier=self.classifier)
-            if self.tables is not None:
-                self._observe_columns(oracle)
-                self._oracle = oracle
-            else:
-                self._oracle = oracle.observe_all(self.events)
+            self._observe_columns(oracle)
+            self._oracle = oracle
         return self._oracle
 
     def _observe_columns(self, oracle: ReputationOracle) -> None:
@@ -281,10 +267,8 @@ class AnalysisDataset:
         return self._vantage_by_id[vantage_id]
 
     def events_for(self, vantage_id: str) -> list[CapturedEvent]:
-        if self.tables is not None:
-            table = self.tables.get(vantage_id)
-            return table.materialize() if table is not None else []
-        return self._by_vantage().get(vantage_id, [])
+        table = self.tables.get(vantage_id)
+        return table.materialize() if table is not None else []
 
     def vantages_in(
         self,
@@ -412,56 +396,40 @@ class AnalysisDataset:
 
     def sources_on_port(self, port: int, kind: NetworkKind) -> set[int]:
         """Source IPs observed on ``port`` at honeypots of one network kind."""
-        if self.tables is not None:
-            sources: set[int] = set()
-            for table in self.tables.values():
-                if table.network_kind != kind or len(table) == 0:
-                    continue
-                mask = table.dst_port == port
-                if mask.any():
-                    sources.update(np.unique(table.src_ip[mask]).tolist())
-            return sources
-        sources = set()
-        for event in self.events:
-            if event.dst_port == port and event.network_kind == kind:
-                sources.add(event.src_ip)
+        sources: set[int] = set()
+        for table in self.tables.values():
+            if table.network_kind != kind or len(table) == 0:
+                continue
+            mask = table.dst_port == port
+            if mask.any():
+                sources.update(np.unique(table.src_ip[mask]).tolist())
         return sources
 
     def malicious_sources_on_port(self, port: int, kind: NetworkKind) -> set[int]:
         """Source IPs that sent *malicious* traffic on ``port``/``kind``."""
-        if self.tables is not None:
-            sources: set[int] = set()
-            cache = self._malicious_cache
-            classify = self.classifier.is_malicious_parts
-            for table in self.tables.values():
-                if table.network_kind != kind or len(table) == 0:
+        sources: set[int] = set()
+        cache = self._malicious_cache
+        classify = self.classifier.is_malicious_parts
+        for table in self.tables.values():
+            if table.network_kind != kind or len(table) == 0:
+                continue
+            matching = np.flatnonzero(table.dst_port == port)
+            if len(matching) == 0:
+                continue
+            src_ips = table.src_ip
+            payloads = table.payloads
+            credentials = table.credentials
+            for index in matching.tolist():
+                src_ip = int(src_ips[index])
+                if src_ip in sources:
                     continue
-                matching = np.flatnonzero(table.dst_port == port)
-                if len(matching) == 0:
-                    continue
-                src_ips = table.src_ip
-                payloads = table.payloads
-                credentials = table.credentials
-                for index in matching.tolist():
-                    src_ip = int(src_ips[index])
-                    if src_ip in sources:
-                        continue
-                    payload = payloads[index]
-                    attempted = bool(credentials[index])
-                    key = (payload, port, attempted)
-                    verdict = cache.get(key)
-                    if verdict is None:
-                        verdict = classify(payload, port, attempted)
-                        cache[key] = verdict
-                    if verdict:
-                        sources.add(src_ip)
-            return sources
-        sources = set()
-        for event in self.events:
-            if (
-                event.dst_port == port
-                and event.network_kind == kind
-                and self.is_malicious(event)
-            ):
-                sources.add(event.src_ip)
+                payload = payloads[index]
+                attempted = bool(credentials[index])
+                key = (payload, port, attempted)
+                verdict = cache.get(key)
+                if verdict is None:
+                    verdict = classify(payload, port, attempted)
+                    cache[key] = verdict
+                if verdict:
+                    sources.add(src_ip)
         return sources

@@ -18,7 +18,6 @@ from repro.analysis.dataset import AnalysisDataset, SLICES
 from repro.net.geo import region as region_info
 from repro.stats.comparisons import compare_fractions, compare_top_k
 from repro.stats.contingency import ChiSquareResult
-from repro.stats.topk import median_counter
 
 __all__ = [
     "RegionProfile",
@@ -69,77 +68,30 @@ def build_region_profiles(
         raise ValueError(f"unknown aggregate {aggregate!r}")
     slice_keys = list(slices) if slices is not None else list(GEO_CHARACTERISTICS)
     engine = dataset.contingency()
-    if engine is not None:
-        return [
-            RegionProfile(
-                network=profile.network,
-                region=profile.region,
-                continent=profile.continent,
-                counters={
-                    slice_key: {
-                        characteristic: _vector_counter(engine, characteristic, vector)
-                        for characteristic, vector in by_char.items()
-                    }
-                    for slice_key, by_char in profile.vectors.items()
-                },
-                fractions=dict(profile.fractions),
-            )
-            for profile in _vector_profiles(dataset, engine, networks, slice_keys, aggregate)
-        ]
-    profiles: list[RegionProfile] = []
-    neighborhoods = dataset.neighborhoods(list(networks), vantage_prefix="gn-")
-    for (network, region_code), vantages in sorted(neighborhoods.items()):
-        counters: dict[str, dict[str, Counter]] = {}
-        fractions: dict[str, tuple[int, int]] = {}
-        for slice_key in slice_keys:
-            traffic_slice = SLICES[slice_key]
-            per_honeypot_events = [
-                dataset.slice_events(dataset.events_for(vantage.vantage_id), traffic_slice)
-                for vantage in sorted(vantages, key=lambda v: v.vantage_id)
-                if vantage.stack.observes(traffic_slice.port or 80)
-            ]
-            per_honeypot_events = [events for events in per_honeypot_events if events]
-            slice_counters: dict[str, Counter] = {}
-            for characteristic in GEO_CHARACTERISTICS[slice_key]:
-                if characteristic == "fraction_malicious":
-                    continue
-                per_honeypot_counts = [
-                    dataset.characteristic_counter(events, characteristic)
-                    for events in per_honeypot_events
-                ]
-                if aggregate == "median":
-                    slice_counters[characteristic] = median_counter(per_honeypot_counts)
-                else:
-                    pooled: Counter = Counter()
-                    for counts in per_honeypot_counts:
-                        pooled.update(counts)
-                    slice_counters[characteristic] = pooled
-            counters[slice_key] = slice_counters
-            malicious = 0
-            total = 0
-            for events in per_honeypot_events:
-                m, t = dataset.malicious_fraction(events)
-                malicious += m
-                total += t
-            fractions[slice_key] = (malicious, total)
-        profiles.append(
-            RegionProfile(
-                network=network,
-                region=region_code,
-                continent=region_info(region_code).continent.value,
-                counters=counters,
-                fractions=fractions,
-            )
+    return [
+        RegionProfile(
+            network=profile.network,
+            region=profile.region,
+            continent=profile.continent,
+            counters={
+                slice_key: {
+                    characteristic: _vector_counter(engine, characteristic, vector)
+                    for characteristic, vector in by_char.items()
+                }
+                for slice_key, by_char in profile.vectors.items()
+            },
+            fractions=dict(profile.fractions),
         )
-    return profiles
+        for profile in _vector_profiles(dataset, engine, networks, slice_keys, aggregate)
+    ]
 
 
 @dataclass
 class _VectorProfile:
-    """Engine-path region profile: aggregated count vectors instead of
-    Counters.  Vector values are exact (integers, or halves from the
-    median), so elementwise aggregation is bit-equivalent to the legacy
-    Counter arithmetic regardless of summation order."""
+    """Region profile as aggregated count vectors instead of Counters.
+    Vector values are exact (integers, or halves from the median), so
+    elementwise aggregation is bit-equivalent to Counter arithmetic
+    regardless of summation order."""
 
     network: str
     region: str
@@ -149,8 +101,8 @@ class _VectorProfile:
 
 
 def _vector_counter(engine, characteristic: str, vector: np.ndarray) -> Counter:
-    """Materialize one aggregated vector as the legacy Counter (python
-    category objects, zero entries dropped — ``median_counter``'s form)."""
+    """Materialize one aggregated vector as a Counter (python category
+    objects, zero entries dropped — ``median_counter``'s form)."""
     values = engine.values[characteristic]
     if vector.dtype == np.float64:
         return Counter(
@@ -170,9 +122,9 @@ def _vector_profiles(
 ) -> list["_VectorProfile"]:
     """Per-region aggregated vectors off the contingency engine.
 
-    Honeypot selection matches the row path exactly: sorted by vantage
-    id, observing stacks only, honeypots with zero slice events dropped
-    (they are excluded from the median, same as the empty-slice filter).
+    Honeypot selection: sorted by vantage id, observing stacks only,
+    honeypots with zero slice events dropped (they are excluded from
+    the median).
     """
     profiles: list[_VectorProfile] = []
     neighborhoods = dataset.neighborhoods(list(networks), vantage_prefix="gn-")
@@ -218,7 +170,7 @@ def _vector_profiles(
 def _compare_vector_profiles(
     engine, first: _VectorProfile, second: _VectorProfile, slice_key: str, characteristic: str
 ) -> Optional[ChiSquareResult]:
-    """Columnar twin of :func:`_compare_profiles`."""
+    """:func:`_compare_profiles` on count vectors."""
     if characteristic == "fraction_malicious":
         fractions = {
             first.region + "@" + first.network: first.fractions.get(slice_key, (0, 0)),
@@ -304,12 +256,11 @@ def geo_similarity(
     profiles: Optional[list[RegionProfile]] = None,
 ) -> list[GeoPairSummary]:
     """Compute Table 5: % of similar region pairs per grouping."""
-    engine = dataset.contingency() if profiles is None else None
-    if engine is not None:
+    if profiles is None:
+        engine = dataset.contingency()
         profiles = _vector_profiles(dataset, engine, networks, list(GEO_CHARACTERISTICS))
         compare = lambda f, s, sk, ch: _compare_vector_profiles(engine, f, s, sk, ch)  # noqa: E731
-    else:
-        profiles = profiles if profiles is not None else build_region_profiles(dataset, networks)
+    else:  # pre-built profiles (the ablation entry point)
         compare = _compare_profiles
     by_network: dict[str, list[RegionProfile]] = {}
     for profile in profiles:
@@ -378,11 +329,10 @@ def most_different_regions(
     regions; Bonferroni correction runs over the family of per-network
     region tests.
     """
-    engine = dataset.contingency() if profiles is None else None
-    if engine is not None:
+    engine = None
+    if profiles is None:
+        engine = dataset.contingency()
         profiles = _vector_profiles(dataset, engine, networks, list(GEO_CHARACTERISTICS))
-    else:
-        profiles = profiles if profiles is not None else build_region_profiles(dataset, networks)
     by_network: dict[str, list[RegionProfile]] = {}
     for profile in profiles:
         by_network.setdefault(profile.network, []).append(profile)
@@ -434,9 +384,9 @@ def _compare_vector_rest(
     slice_key: str,
     characteristic: str,
 ) -> Optional[ChiSquareResult]:
-    """Columnar twin of the region-vs-rest comparison in
-    :func:`most_different_regions` (``_aggregate_profiles`` +
-    ``_compare_counts``)."""
+    """The region-vs-rest comparison of :func:`most_different_regions`
+    on count vectors (``_aggregate_profiles`` + ``_compare_counts`` on
+    pre-built profiles)."""
     if characteristic == "fraction_malicious":
         own = profile.fractions.get(slice_key, (0, 0))
         rest = (

@@ -53,8 +53,7 @@ def _first_protocol_by_source(
     Shard-wise map-reduce with first-occurrence semantics: every
     candidate carries its global sort key ``(vantage position, shard
     position, row)`` and the reduce keeps the minimum — exactly the
-    first matching event in merged row order, so the result is
-    bit-identical to a single scan of ``dataset.events``.
+    first matching event in merged row order.
     """
     from repro.detection.fingerprint import fingerprint as _fingerprint
     from repro.experiments.base import run_shard_wise
@@ -119,25 +118,11 @@ def protocol_breakdown(
 ) -> list[ProtocolBreakdownRow]:
     """Compute Table 11 over the Honeytrap networks."""
     oracle = dataset.reputation_oracle()
-    if dataset.tables is not None:
-        first_protocols = _first_protocol_by_source(dataset, ports)
-    else:
-        first_protocols = None
+    first_protocols = _first_protocol_by_source(dataset, ports)
     rows: list[ProtocolBreakdownRow] = []
     for port in ports:
-        if first_protocols is not None:
-            protocol_of_source = first_protocols[port]
-        else:
-            protocol_of_source = {}
-            for event in dataset.events:
-                if event.dst_port != port or not event.vantage_id.startswith(_HONEYTRAP_PREFIX):
-                    continue
-                identified = dataset.fingerprint_of(event)
-                if identified is None:
-                    continue
-                # A source's protocol is whatever it spoke first at this port.
-                protocol_of_source.setdefault(event.src_ip, identified)
-
+        # A source's protocol is whatever it spoke first at this port.
+        protocol_of_source = first_protocols[port]
         total = len(protocol_of_source)
         if total == 0:
             continue
@@ -191,34 +176,8 @@ def methodology_numbers(dataset: AnalysisDataset) -> MethodologyNumbers:
     Distinct payloads are deduplicated after ephemeral-header stripping,
     as everywhere else in the methodology.
     """
-    from repro.scanners.payloads import strip_ephemeral_headers
-
-    if dataset.tables is not None:
-        (telnet_total, telnet_auth, ssh_total, ssh_auth,
-         http_total, http_exploit, distinct_http) = _methodology_counts(dataset)
-    else:
-        telnet_total = telnet_auth = 0
-        ssh_total = ssh_auth = 0
-        http_total = http_exploit = 0
-        distinct_http = {}
-
-        for event in dataset.events:
-            interactive_capture = event.vantage_id.startswith("gn-")
-            if interactive_capture and event.dst_port == 23 and event.handshake:
-                telnet_total += 1
-                if event.attempted_login:
-                    telnet_auth += 1
-            elif interactive_capture and event.dst_port == 22 and event.handshake:
-                ssh_total += 1
-                if event.attempted_login:
-                    ssh_auth += 1
-            if event.dst_port == 80 and event.payload:
-                if dataset.fingerprint_of(event) == "http":
-                    http_total += 1
-                    malicious = dataset.is_malicious(event)
-                    if malicious:
-                        http_exploit += 1
-                    distinct_http.setdefault(strip_ephemeral_headers(event.payload), malicious)
+    (telnet_total, telnet_auth, ssh_total, ssh_auth,
+     http_total, http_exploit, distinct_http) = _methodology_counts(dataset)
 
     def _pct(part: int, whole: int) -> float:
         return 100.0 * part / whole if whole else 0.0
@@ -239,8 +198,8 @@ def _methodology_counts(dataset: AnalysisDataset):
     trivially mergeable.  ``distinct_http`` has first-occurrence
     semantics (the flag recorded is the *first* matching event's
     maliciousness), so partials carry ``(vantage position, shard
-    position, row)`` sort keys and the reduce keeps the minimum,
-    reproducing the merged row order's ``setdefault`` exactly.
+    position, row)`` sort keys and the reduce keeps the minimum, which
+    is the first occurrence in merged row order.
     """
     import numpy as np
 

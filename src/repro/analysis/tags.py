@@ -12,15 +12,12 @@ Tags are *descriptive*, not authoritative: a source can carry several.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset
-from repro.sim.events import CapturedEvent
 
-__all__ = ["SourceBehavior", "TAG_RULES", "tag_sources", "tag_distribution"]
+__all__ = ["TAG_RULES", "tag_sources", "tag_distribution"]
 
 #: Credentials characteristic of Mirai-family botnets.
 _MIRAI_MARKERS = frozenset({"xc3511", "vizxv", "xmhdipc", "juantech", "7ujMko0admin", "anko"})
@@ -28,97 +25,16 @@ _MIRAI_MARKERS = frozenset({"xc3511", "vizxv", "xmhdipc", "juantech", "7ujMko0ad
 _HUAWEI_MARKERS = frozenset({"e8ehome", "e8telnet", "mother", "telecomadmin"})
 
 
-@dataclass
-class SourceBehavior:
-    """Everything observed about one source IP, aggregated."""
-
-    src_ip: int
-    asn: int = 0
-    ports: set = None  # type: ignore[assignment]
-    protocols: set = None  # type: ignore[assignment]
-    usernames: set = None  # type: ignore[assignment]
-    passwords: set = None  # type: ignore[assignment]
-    payload_families: set = None  # type: ignore[assignment]
-    event_count: int = 0
-    malicious: bool = False
-
-    def __post_init__(self) -> None:
-        self.ports = self.ports or set()
-        self.protocols = self.protocols or set()
-        self.usernames = self.usernames or set()
-        self.passwords = self.passwords or set()
-        self.payload_families = self.payload_families or set()
-
-
-def _collect_behaviors(dataset: AnalysisDataset) -> dict[int, SourceBehavior]:
-    behaviors: dict[int, SourceBehavior] = {}
-    for event in dataset.events:
-        behavior = behaviors.get(event.src_ip)
-        if behavior is None:
-            behavior = SourceBehavior(src_ip=event.src_ip, asn=event.src_asn)
-            behaviors[event.src_ip] = behavior
-        behavior.event_count += 1
-        behavior.ports.add(event.dst_port)
-        protocol = dataset.fingerprint_of(event)
-        if protocol is not None:
-            behavior.protocols.add(protocol)
-        for username, password in event.credentials:
-            behavior.usernames.add(username)
-            behavior.passwords.add(password)
-        if not behavior.malicious and dataset.is_malicious(event):
-            behavior.malicious = True
-        if event.payload:
-            alerts = dataset.classifier.rule_engine.alerts(event.payload, event.dst_port)
-            for alert in alerts:
-                behavior.payload_families.add(alert.classtype)
-    return behaviors
-
-
-def _is_mirai_like(behavior: SourceBehavior) -> bool:
-    return bool(behavior.passwords & _MIRAI_MARKERS)
-
-
-def _is_huawei_variant(behavior: SourceBehavior) -> bool:
-    return bool((behavior.usernames | behavior.passwords) & _HUAWEI_MARKERS)
-
-
-def _is_ssh_bruteforcer(behavior: SourceBehavior) -> bool:
-    return bool(behavior.ports & {22, 2222}) and len(behavior.passwords) >= 2
-
-
-def _is_telnet_bruteforcer(behavior: SourceBehavior) -> bool:
-    return bool(behavior.ports & {23, 2323}) and len(behavior.passwords) >= 2
-
-
-def _is_web_crawler(behavior: SourceBehavior) -> bool:
-    return "http" in behavior.protocols and not behavior.malicious
-
-
-def _is_web_exploiter(behavior: SourceBehavior) -> bool:
-    return bool(behavior.payload_families & {
-        "web-application-attack", "attempted-admin", "trojan-activity"
-    })
-
-
-def _is_unexpected_protocol_prober(behavior: SourceBehavior) -> bool:
-    http_ports = behavior.ports & {80, 8080}
-    return bool(http_ports) and bool(behavior.protocols - {"http", "unknown"})
-
-
-def _is_wide_scanner(behavior: SourceBehavior) -> bool:
-    return len(behavior.ports) >= 5
-
-
-#: Ordered (tag, predicate) rules; a source receives every matching tag.
-TAG_RULES: tuple[tuple[str, Callable[[SourceBehavior], bool]], ...] = (
-    ("mirai-like", _is_mirai_like),
-    ("huawei-apac-variant", _is_huawei_variant),
-    ("ssh-bruteforcer", _is_ssh_bruteforcer),
-    ("telnet-bruteforcer", _is_telnet_bruteforcer),
-    ("web-exploiter", _is_web_exploiter),
-    ("web-crawler", _is_web_crawler),
-    ("unexpected-protocol-prober", _is_unexpected_protocol_prober),
-    ("wide-scanner", _is_wide_scanner),
+#: Tag names in rule order; a source receives every matching tag.
+TAG_RULES: tuple[str, ...] = (
+    "mirai-like",
+    "huawei-apac-variant",
+    "ssh-bruteforcer",
+    "telnet-bruteforcer",
+    "web-exploiter",
+    "web-crawler",
+    "unexpected-protocol-prober",
+    "wide-scanner",
 )
 
 
@@ -133,7 +49,7 @@ def _pair_flags(pairs: np.ndarray, selected_codes: set[int], n_sources: int) -> 
 
 def _engine_tag_sources(aggregates) -> dict[int, frozenset[str]]:
     """Vectorized tagging over per-source aggregates: each TAG_RULES
-    predicate becomes one boolean array over all sources."""
+    rule is one boolean array over all sources."""
     n = len(aggregates)
     mirai_pass = {c for c, v in enumerate(aggregates.pass_values) if v in _MIRAI_MARKERS}
     huawei_user = {c for c, v in enumerate(aggregates.user_values) if v in _HUAWEI_MARKERS}
@@ -143,8 +59,7 @@ def _engine_tag_sources(aggregates) -> dict[int, frozenset[str]]:
         if v in {"web-application-attack", "attempted-admin", "trojan-activity"}
     }
     http_fp = {c for c, v in enumerate(aggregates.fp_values) if v == "http"}
-    #: fingerprints outside {None, "http", "unknown"} — the legacy
-    #: ``protocols - {"http", "unknown"}`` over non-None protocols.
+    #: fingerprints outside {None, "http", "unknown"}.
     odd_fp = {
         c for c, v in enumerate(aggregates.fp_values)
         if v is not None and v not in ("http", "unknown")
@@ -172,19 +87,26 @@ def _engine_tag_sources(aggregates) -> dict[int, frozenset[str]]:
         return flags
 
     many_passwords = n_passwords >= 2
+    # One column per TAG_RULES entry, in order.
     flag_columns = [
+        # mirai-like: tried a Mirai marker password
         _pair_flags(pass_pairs, mirai_pass, n),
+        # huawei-apac-variant: a marker as username or password
         _pair_flags(aggregates.cred[:, :2], huawei_user, n)
         | _pair_flags(pass_pairs, huawei_pass, n),
+        # ssh-/telnet-bruteforcer: the service's ports, >= 2 passwords
         port_flags(ssh_ports) & many_passwords,
         port_flags(telnet_ports) & many_passwords,
+        # web-exploiter: an exploit-class Snort alert on a payload
         _pair_flags(aggregates.families, exploit_fams, n),
+        # web-crawler: spoke HTTP and never sent malicious traffic
         _pair_flags(aggregates.fp_pairs, http_fp, n) & ~aggregates.malicious,
+        # unexpected-protocol-prober: a non-HTTP protocol on an HTTP port
         port_flags(http_ports) & _pair_flags(aggregates.fp_pairs, odd_fp, n),
+        # wide-scanner: five or more distinct ports
         n_ports >= 5,
     ]
     flag_matrix = np.stack(flag_columns, axis=1)
-    tag_names = [tag for tag, _predicate in TAG_RULES]
     memo: dict[bytes, frozenset[str]] = {}
     tags: dict[int, frozenset[str]] = {}
     sources = aggregates.sources
@@ -193,7 +115,7 @@ def _engine_tag_sources(aggregates) -> dict[int, frozenset[str]]:
         tag_set = memo.get(key)
         if tag_set is None:
             tag_set = frozenset(
-                tag for tag, flagged in zip(tag_names, flag_matrix[index]) if flagged
+                tag for tag, flagged in zip(TAG_RULES, flag_matrix[index]) if flagged
             )
             memo[key] = tag_set
         tags[int(sources[index])] = tag_set
@@ -201,21 +123,15 @@ def _engine_tag_sources(aggregates) -> dict[int, frozenset[str]]:
 
 
 def tag_sources(dataset: AnalysisDataset) -> dict[int, frozenset[str]]:
-    """Tag every observed source IP; untaggable sources get an empty set."""
-    aggregates = dataset.source_aggregates()
-    if aggregates is not None:
-        return _engine_tag_sources(aggregates)
-    behaviors = _collect_behaviors(dataset)
-    return {
-        src_ip: frozenset(tag for tag, predicate in TAG_RULES if predicate(behavior))
-        for src_ip, behavior in behaviors.items()
-    }
+    """Tag every observed source IP, in first-observation order;
+    untaggable sources get an empty set."""
+    return _engine_tag_sources(dataset.source_aggregates())
 
 
 def tag_distribution(tags: dict[int, frozenset[str]]) -> dict[str, int]:
-    """Number of source IPs carrying each tag, sorted by prevalence."""
+    """Number of source IPs carrying each tag, by prevalence then name."""
     counts: dict[str, int] = defaultdict(int)
     for tag_set in tags.values():
         for tag in tag_set:
             counts[tag] += 1
-    return dict(sorted(counts.items(), key=lambda item: -item[1]))
+    return dict(sorted(counts.items(), key=lambda item: (-item[1], item[0])))

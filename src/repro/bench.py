@@ -8,8 +8,7 @@ default, a list of records) so regressions are visible across runs.
 Entry points::
 
     cloudwatching bench --scale 1.0          # CLI subcommand
-    python benchmarks/run_bench.py           # repo-local wrapper
-    python -m repro.bench                    # module form
+    python benchmarks/run_bench.py           # repo-local wrapper, same parser
 
 The benchmark pytest session (``pytest benchmarks/``) appends its own
 per-test records to the same artifact via ``benchmarks/conftest.py``.
@@ -17,14 +16,13 @@ per-test records to the same artifact via ``benchmarks/conftest.py``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import time
 from typing import Optional, Sequence
 
 __all__ = ["run_bench", "run_stream_bench", "run_serve_bench",
-           "run_incident_bench", "append_record", "DEFAULT_ARTIFACT", "main"]
+           "run_incident_bench", "append_record", "DEFAULT_ARTIFACT"]
 
 #: Default JSON artifact, written to the current working directory.
 DEFAULT_ARTIFACT = "BENCH_simulation.json"
@@ -41,23 +39,38 @@ def artifact_path(override: Optional[str] = None) -> str:
 def append_record(record: dict, path: Optional[str] = None) -> str:
     """Append one record to the JSON artifact (a list of records).
 
-    A missing or unparsable artifact starts a fresh list rather than
-    failing the benchmark that produced the record.
+    A missing artifact starts a fresh list.  An unparsable one (or one
+    that is not a list) is moved aside to ``<path>.corrupt`` (or
+    ``.corrupt.1``, ``.corrupt.2``, … if taken) before a fresh list is
+    written, so no bench history is erased and the benchmark that
+    produced the record still succeeds.  Other read errors propagate.
     """
     resolved = artifact_path(path)
-    records: list = []
     try:
         with open(resolved, "r", encoding="utf-8") as handle:
-            existing = json.load(handle)
-        if isinstance(existing, list):
-            records = existing
-    except (OSError, ValueError):
-        pass
+            records = json.load(handle)
+    except FileNotFoundError:
+        records = []
+    except ValueError:  # JSON or UTF-8 decode error
+        records = None
+    if not isinstance(records, list):
+        _move_aside(resolved)
+        records = []
     records.append(record)
     with open(resolved, "w", encoding="utf-8") as handle:
         json.dump(records, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return resolved
+
+
+def _move_aside(path: str) -> None:
+    """Rename ``path`` to the first free ``<path>.corrupt[.N]``."""
+    aside = f"{path}.corrupt"
+    suffix = 0
+    while os.path.exists(aside):
+        suffix += 1
+        aside = f"{path}.corrupt.{suffix}"
+    os.replace(path, aside)
 
 
 def _timestamp() -> str:
@@ -69,7 +82,6 @@ def run_bench(
     telescope_slash24s: int = 16,
     seed: int = 777,
     year: int = 2021,
-    emission: str = "batch",
     experiments: Optional[Sequence[str]] = None,
     orchestrate_workers: Optional[Sequence[int]] = None,
     orchestrate_sweep: bool = False,
@@ -171,7 +183,7 @@ def run_bench(
     result = run_simulation(
         deployment,
         population,
-        SimulationConfig(seed=seed, window=_WINDOWS[year], emission=emission),
+        SimulationConfig(seed=seed, window=_WINDOWS[year]),
     )
     stages["simulation"] = time.perf_counter() - started
     _say(f"simulation ran in {stages['simulation']:.2f}s ({result.total_events():,} events)")
@@ -223,7 +235,6 @@ def run_bench(
         "telescope_slash24s": telescope_slash24s,
         "seed": seed,
         "year": year,
-        "emission": emission,
         "events": result.total_events(),
         "stages": {name: round(value, 4) for name, value in stages.items()},
         "stages_total": round(sum(stages.values()), 4),
@@ -616,67 +627,3 @@ def run_serve_bench(
         f"record appended to {written}"
     )
     return record
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="run_bench", description="Time the simulate→analyze pipeline."
-    )
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="population scale factor (default 1.0, the pinned bench scale)")
-    parser.add_argument("--telescope", type=int, default=16,
-                        help="telescope size in /24s (default 16)")
-    parser.add_argument("--seed", type=int, default=777)
-    parser.add_argument("--year", type=int, default=2021, choices=(2020, 2021, 2022))
-    parser.add_argument("--emission", default="batch", choices=("batch", "scalar"),
-                        help="event-emission mode to benchmark (default batch)")
-    parser.add_argument("--experiments", nargs="*", default=None, metavar="ID",
-                        help="experiment ids to time (default: all for the year)")
-    parser.add_argument("--orchestrate-workers", nargs="*", type=int, default=(),
-                        metavar="N",
-                        help="worker counts to time the orchestrator at "
-                             "(default: skip; the CLI bench uses 1 2 4)")
-    parser.add_argument("--orchestrate-sweep", action="store_true",
-                        help="time the canonical 1/2/4-worker orchestrator sweep "
-                             "in one invocation and record speedup ratios vs 1 "
-                             "worker (overrides --orchestrate-workers)")
-    parser.add_argument("--stream", action="store_true",
-                        help="run the streaming sustained-ingest bench instead "
-                             "of the simulate→analyze bench")
-    parser.add_argument("--chunk-events", type=int, default=4096,
-                        help="stream bench: rows per published chunk (default 4096)")
-    parser.add_argument("--sketch-k", type=int, default=64,
-                        help="stream bench: Space-Saving capacity (default 64)")
-    parser.add_argument("--output", default=None, metavar="BENCH.json",
-                        help=f"artifact path (default ${ARTIFACT_ENV} or {DEFAULT_ARTIFACT})")
-    args = parser.parse_args(argv)
-    try:
-        if args.stream:
-            run_stream_bench(
-                scale=args.scale,
-                telescope_slash24s=args.telescope,
-                seed=args.seed,
-                year=args.year,
-                chunk_events=args.chunk_events,
-                sketch_k=args.sketch_k,
-                artifact=args.output,
-            )
-        else:
-            run_bench(
-                scale=args.scale,
-                telescope_slash24s=args.telescope,
-                seed=args.seed,
-                year=args.year,
-                emission=args.emission,
-                experiments=args.experiments,
-                orchestrate_workers=tuple(args.orchestrate_workers),
-                orchestrate_sweep=args.orchestrate_sweep,
-                artifact=args.output,
-            )
-    except ValueError as error:
-        parser.error(str(error))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -91,8 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="telescope size in /24s (default 16)")
     bench.add_argument("--seed", type=int, default=777)
     bench.add_argument("--year", type=int, default=2021, choices=(2020, 2021, 2022))
-    bench.add_argument("--emission", default="batch", choices=("batch", "scalar"),
-                       help="event-emission mode to benchmark (default batch)")
     bench.add_argument("--experiments", nargs="*", default=None, metavar="ID",
                        help="experiment ids to time (default: all for the "
                             "year; pass no values to skip analysis timing)")
@@ -463,7 +461,6 @@ def _command_bench(args: argparse.Namespace) -> int:
             telescope_slash24s=args.telescope,
             seed=args.seed,
             year=args.year,
-            emission=args.emission,
             experiments=args.experiments,
             orchestrate_workers=tuple(args.orchestrate_workers),
             orchestrate_sweep=args.orchestrate_sweep,

@@ -9,15 +9,12 @@ recorded alongside the client's first protocol message.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional
-
 import numpy as np
 
-from repro.honeypots.base import CaptureStack, VantagePoint
+from repro.honeypots.base import CaptureStack
 from repro.io.table import TRANSPORT_CODES
 from repro.net.packets import Transport
-from repro.sim.events import CapturedEvent, IntentBatch, ScanIntent
+from repro.sim.events import IntentBatch
 from repro.sim.rng import stable_hash64
 
 __all__ = ["CowrieStack", "COWRIE_PORTS"]
@@ -70,35 +67,12 @@ class CowrieStack(CaptureStack):
         ) / float(1 << 64)
         return draw < self._accept_probability
 
-    def _accepts_login(self, intent: ScanIntent) -> bool:
-        return self._accepts_login_at(intent.src_ip, intent.dst_ip, intent.timestamp)
-
-    def capture(
-        self, intent: ScanIntent, vantage: VantagePoint, src_asn: int
-    ) -> Optional[CapturedEvent]:
-        credentials = tuple(credential.as_tuple() for credential in intent.credentials)
-        commands: tuple[str, ...] = ()
-        if credentials and intent.commands and self._accepts_login(intent):
-            commands = intent.commands
-        event = self._base_event(
-            intent,
-            vantage,
-            src_asn,
-            handshake=True,
-            payload=intent.payload,
-            credentials=credentials,
-        )
-        if commands:
-            event = replace(event, commands=commands)
-        return event
-
     def capture_batch_columns(self, batch: IntentBatch, src_asns: np.ndarray) -> dict:
         """Vectorized capture: credentials verbatim, commands per login.
 
         Only sessions that both tried credentials and carry a command
-        sequence run the deterministic accept-login hash — the scalar
-        path's exact gate — so the per-row Python work is limited to the
-        small logged-in candidate subset.
+        sequence run the deterministic accept-login hash, so the per-row
+        Python work is limited to the small logged-in candidate subset.
         """
         count = len(batch)
         credentials = batch.credentials

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.detection.engine import RuleEngine
-from repro.honeypots.base import CaptureStack, VantagePoint
-from repro.sim.events import CapturedEvent, ScanIntent
+from repro.honeypots.base import CaptureStack
+from repro.io.table import EventTable
+from repro.sim.events import IntentBatch
 from repro.sim.rng import stable_hash64
 
 __all__ = ["FirewalledStack"]
@@ -61,29 +64,49 @@ class FirewalledStack(CaptureStack):
     def observes(self, port: int) -> bool:
         return self._inner.observes(port)
 
-    def _looks_malicious(self, intent: ScanIntent) -> bool:
-        if intent.credentials:
-            return True
-        if intent.payload and self._rules.is_malicious(intent.payload, intent.dst_port):
-            return True
-        return False
+    def _keep_mask(self, batch: IntentBatch) -> np.ndarray:
+        """Per-row pass verdict: False where the middlebox drops the session.
 
-    def _drops(self, intent: ScanIntent) -> bool:
+        A session is malicious when it tries credentials or its payload
+        trips the rule engine (asked once per distinct payload); each
+        malicious session is dropped on a deterministic per-(src, dst,
+        timestamp) draw.
+        """
+        keep = np.ones(len(batch), dtype=bool)
         if self._drop_probability == 0.0:
-            return False
-        if not self._looks_malicious(intent):
-            return False
-        if self._drop_probability >= 1.0:
-            return True
-        draw = stable_hash64(
-            self._seed, intent.src_ip, intent.dst_ip, round(intent.timestamp, 6)
-        ) / float(1 << 64)
-        return draw < self._drop_probability
+            return keep
+        verdicts: dict[bytes, bool] = {b"": False}
+        timestamps = batch.timestamps.tolist()
+        src_ips = batch.src_ips.tolist()
+        dst_ips = batch.dst_ips.tolist()
+        for index, (payload, credentials) in enumerate(zip(batch.payloads, batch.credentials)):
+            if not credentials:
+                verdict = verdicts.get(payload)
+                if verdict is None:
+                    verdict = self._rules.is_malicious(payload, batch.dst_port)
+                    verdicts[payload] = verdict
+                if not verdict:
+                    continue
+            if self._drop_probability < 1.0:
+                draw = stable_hash64(
+                    self._seed, src_ips[index], dst_ips[index], round(timestamps[index], 6)
+                ) / float(1 << 64)
+                if draw >= self._drop_probability:
+                    continue
+            keep[index] = False
+        return keep
 
-    def capture(
-        self, intent: ScanIntent, vantage: VantagePoint, src_asn: int
-    ) -> Optional[CapturedEvent]:
-        if self._drops(intent):
-            self.dropped += 1
-            return None
-        return self._inner.capture(intent, vantage, src_asn)
+    def capture_batch(
+        self, batch: IntentBatch, src_asns: np.ndarray, table: EventTable
+    ) -> int:
+        """Drop the filtered sessions, then capture the rest with the inner stack."""
+        kept = np.flatnonzero(self._keep_mask(batch))
+        self.dropped += len(batch) - len(kept)
+        if len(kept) < len(batch):
+            batch, src_asns = batch.take(kept), src_asns[kept]
+        return self._inner.capture_batch(batch, src_asns, table)
+
+    def capture_batch_columns(self, batch: IntentBatch, src_asns: np.ndarray) -> dict:
+        """The inner stack's columns for sessions that got past the firewall
+        (the drops themselves happen in :meth:`capture_batch`)."""
+        return self._inner.capture_batch_columns(batch, src_asns)

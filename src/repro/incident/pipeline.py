@@ -195,21 +195,13 @@ def detect_incidents(
     from repro.stream.analyzer import StreamAnalyzer
 
     hours = int(dataset.window.hours)
-    tables = dataset.tables
-    if tables is None:  # row-backed dataset (tests): columnarize first
-        from repro.io.table import EventTable
-
-        tables = {
-            vantage_id: EventTable.from_events(rows, vantage_id=vantage_id)
-            for vantage_id, rows in sorted(dataset._by_vantage().items())
-        }
     analyzer = StreamAnalyzer(
         hours=hours,
         sketch_k=sketch_k,
         leak_experiment=dataset.leak_experiment,
     )
     pipeline = IncidentPipeline(analyzer, rules=rules, quiet_hours=quiet_hours)
-    for chunk in canonical_chunks(tables, hours):
+    for chunk in canonical_chunks(dataset.tables, hours):
         analyzer.consume(chunk)
         pipeline.consume(chunk)
     pipeline.finalize()

@@ -20,8 +20,9 @@ Design points:
   :class:`~repro.honeypots.base.VantageCapture`), which builds the
   ``CapturedEvent`` list once and caches it.  Group-by/count analyses
   use the column accessors directly and never pay for row objects.
-* **Scalar compatibility** — :meth:`append_event` keeps the one-row API
-  alive for the live replayer, the scalar capture fallback, and tests.
+* **Row records** — :meth:`append_event` appends one
+  :class:`CapturedEvent` (live honeypots, reloaded NDJSON releases via
+  ``AnalysisDataset.from_events``, and tests).
 * **Per-column consolidation** — columns consolidate independently, so
   an analysis that reads only ``src_ip`` never pays for decoding the
   payload/credential columns.  A chunk's column source may be any
@@ -112,7 +113,7 @@ class EventTable:
         """Observe every append as ``hook(table, columns, start, stop)``.
 
         The streaming tap: fires on both the chunked path
-        (:meth:`append_view` / :meth:`append_batch`) and the scalar path
+        (:meth:`append_view` / :meth:`append_batch`) and the one-row path
         (:meth:`append_event`), after the rows are owned by the table.
         At most one hook; ``None`` detaches.
         """
@@ -190,7 +191,7 @@ class EventTable:
         self._rows = None
 
     def append_event(self, event: CapturedEvent) -> None:
-        """Append one row (scalar capture path and live replay)."""
+        """Append one row record (live capture, reloaded releases, tests)."""
         columns = {
             "timestamps": float(event.timestamp),
             "src_ip": int(event.src_ip),
@@ -260,10 +261,6 @@ class EventTable:
         if self._hook is not None:
             self._hook(self, columns, start, stop)
         return stop - start
-
-    def extend(self, events: Iterable[CapturedEvent]) -> None:
-        for event in events:
-            self.append_event(event)
 
     # ------------------------------------------------------------------
     # consolidation + column accessors

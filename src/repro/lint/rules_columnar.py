@@ -18,8 +18,19 @@ from repro.lint.findings import Finding, Rule, register
 #: EventTable APIs that materialize per-event Python row objects.
 _ROW_APIS = frozenset({"materialize", "iter_events"})
 
-#: Every function in these files is a hot columnar path.
-_COLUMNAR_FILES = ("repro/analysis/contingency_engine.py",)
+#: Every function in these files is a hot columnar path (the analyses
+#: that run only on event tables, with no row-object fallback).
+_COLUMNAR_FILES = (
+    "repro/analysis/contingency_engine.py",
+    "repro/analysis/campaigns.py",
+    "repro/analysis/commands.py",
+    "repro/analysis/leak.py",
+    "repro/analysis/neighborhoods.py",
+    "repro/analysis/overlap.py",
+    "repro/analysis/ports.py",
+    "repro/analysis/tags.py",
+    "repro/analysis/timeseries.py",
+)
 
 
 def _is_map_shard(name: str) -> bool:

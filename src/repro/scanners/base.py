@@ -96,7 +96,7 @@ class TemporalProfile:
         the per-destination samples concatenated in order.  Uniform and
         diurnal sessions are i.i.d., so they collapse into one vectorized
         draw; burst mode keeps its per-destination burst windows (each
-        destination draws its own burst starts, as the scalar path did).
+        destination draws its own burst starts).
         """
         total = int(np.sum(counts))
         if self.mode != "burst":
@@ -235,10 +235,9 @@ class PortPlan:
     ) -> IntentBatch:
         """Synthesize a whole batch of session intents in columnar form.
 
-        The draw order is fixed and documented so that batch and scalar
-        *emission* modes share one RNG stream (the engine always builds
-        intents through this method and materializes rows afterwards when
-        running in scalar mode):
+        The draw order is fixed and documented, so a seed pins the
+        dataset (the golden digests in ``tests/golden_outputs.json``
+        depend on it):
 
         1. HTTP corpora: one vectorized ``choice`` over payload names.
         2. Interactive plans: one ``random`` per session (banner gate),

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator
-
 import numpy as np
 
 from repro.net.packets import Transport
@@ -89,9 +87,7 @@ class IntentBatch:
     batch (they come from one :class:`~repro.scanners.base.PortPlan`);
     everything per-session lives in parallel arrays.  ``credentials``
     holds tuples of plain ``(username, password)`` pairs — the wire-level
-    representation capture stacks record — and :meth:`intents` wraps them
-    back into :class:`Credential` objects when materializing rows for the
-    scalar capture path.
+    representation capture stacks record.
     """
 
     dst_port: int
@@ -135,21 +131,6 @@ class IntentBatch:
             commands=self.commands[indices],
         )
 
-    def intents(self) -> Iterator[ScanIntent]:
-        """Materialize row-level intents (the scalar emission fallback)."""
-        for index in range(len(self.timestamps)):
-            pairs = self.credentials[index]
-            yield ScanIntent(
-                timestamp=float(self.timestamps[index]),
-                src_ip=int(self.src_ips[index]),
-                dst_ip=int(self.dst_ips[index]),
-                dst_port=self.dst_port,
-                transport=self.transport,
-                protocol=self.protocol,
-                payload=self.payloads[index],
-                credentials=tuple(Credential(*pair) for pair in pairs),
-                commands=self.commands[index],
-            )
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.dataset import SLICES, AnalysisDataset, TrafficSlice
 from repro.sim.events import NetworkKind
+from tests.golden import table_digests
 
 
 class TestConstruction:
@@ -15,9 +16,31 @@ class TestConstruction:
         assert dataset.telescope is not None
         assert dataset.leak_experiment is not None
 
-    def test_events_grouped_by_vantage(self, dataset):
+    def test_events_split_per_vantage(self, dataset):
         total = sum(len(dataset.events_for(v.vantage_id)) for v in dataset.vantages)
         assert total == len(dataset.events)
+
+    def test_from_events_matches_simulation_tables(self, small_context):
+        """Row records rebuild the simulator's tables: same vantages in
+        the same order, same columns."""
+        result = small_context.result
+        rebuilt = AnalysisDataset.from_events(
+            result.events(), result.deployment.honeypots, result.window
+        )
+        assert list(rebuilt.tables) == list(result.tables())
+        assert table_digests(rebuilt.tables) == table_digests(result.tables())
+
+    def test_from_events_groups_interleaved_rows_vantage_major(self, dataset):
+        first, second = [v for v in dataset.vantages if dataset.events_for(v.vantage_id)][:2]
+        rows = [dataset.events_for(v.vantage_id)[0] for v in (second, first, second)]
+        rebuilt = AnalysisDataset.from_events(rows, [first, second])
+        assert rebuilt.events == [rows[1], rows[0], rows[2]]
+
+    def test_from_events_rejects_unlisted_vantage(self, dataset):
+        row = dataset.events[0]
+        others = [v for v in dataset.vantages if v.vantage_id != row.vantage_id]
+        with pytest.raises(ValueError, match="unlisted vantage"):
+            AnalysisDataset.from_events([row], others)
 
 
 class TestSlices:

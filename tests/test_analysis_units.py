@@ -61,7 +61,7 @@ class TestGeographyUnits:
             events += [event(vantage, src_ip=i, src_asn=100) for i in range(50)]
         for vantage in vantages[2:]:
             events += [event(vantage, src_ip=1000 + i, src_asn=999) for i in range(50)]
-        return AnalysisDataset(events, vantages, WEEK_2021)
+        return AnalysisDataset.from_events(events, vantages, WEEK_2021)
 
     def test_profiles_are_median_filtered(self, two_region_dataset):
         profiles = build_region_profiles(two_region_dataset, networks=["aws"],
@@ -104,7 +104,7 @@ class TestGeographyUnits:
         ]
         events = [event(vantages[0], src_ip=5, src_asn=666) for _ in range(500)]
         events += [event(v, src_ip=6, src_asn=100) for v in vantages for _ in range(10)]
-        dataset = AnalysisDataset(events, vantages, WEEK_2021)
+        dataset = AnalysisDataset.from_events(events, vantages, WEEK_2021)
         profiles = build_region_profiles(dataset, networks=["aws"], slices=["ssh22"])
         counts = profiles[0].counters["ssh22"]["as"]
         assert counts[100] == 10
@@ -120,7 +120,7 @@ class TestColocatedPairs:
             gn_vantage("gn-google-AP-SG-0", "google", "AP-SG", 4),
             gn_vantage("gn-linode-EU-DE-0", "linode", "EU-DE", 5),
         ]
-        dataset = AnalysisDataset([], vantages, WEEK_2021)
+        dataset = AnalysisDataset.from_events([], vantages, WEEK_2021)
         pairs = colocated_cloud_pairs(dataset)
         assert ("aws", "google", "US-CA") in pairs
         # APAC co-location is excluded (the paper restricts to NA/EU)...
@@ -157,12 +157,8 @@ class TestLeakUnits:
             for i in range(4):
                 events.append(event(leaked_v, src_ip=50 + i, port=80,
                                     ts=hour + 0.2 + i * 0.1, payload=benign))
-        dataset = AnalysisDataset([], [control_v, leaked_v], WEEK_2021,
-                                  leak_experiment=experiment)
-        dataset.events = events
-        # rebuild grouping after direct assignment
-        return AnalysisDataset(events, [control_v, leaked_v], WEEK_2021,
-                               leak_experiment=experiment), experiment
+        return AnalysisDataset.from_events(events, [control_v, leaked_v], WEEK_2021,
+                                           leak_experiment=experiment), experiment
 
     def test_fold_computed_per_hour(self):
         dataset, _experiment = self._make()
@@ -182,8 +178,8 @@ class TestLeakUnits:
                   payload=http_payload("shodan-get").render())
             for hour in range(168)
         ]
-        boosted = AnalysisDataset(dataset.events + extra, dataset.vantages,
-                                  WEEK_2021, leak_experiment=experiment)
+        boosted = AnalysisDataset.from_events(dataset.events + extra, dataset.vantages,
+                                              WEEK_2021, leak_experiment=experiment)
         rows = leak_report(boosted)
         shodan_all = next(r for r in rows
                           if r.service == "HTTP/80" and r.group == "shodan"
@@ -191,8 +187,8 @@ class TestLeakUnits:
         assert shodan_all.fold == pytest.approx(4.0, rel=0.05)
 
     def test_missing_experiment_raises(self):
-        dataset = AnalysisDataset([], [gn_vantage("gn-a-US-CA-0", "aws", "US-CA", 1)],
-                                  WEEK_2021)
+        dataset = AnalysisDataset.from_events(
+            [], [gn_vantage("gn-a-US-CA-0", "aws", "US-CA", 1)], WEEK_2021)
         with pytest.raises(ValueError):
             leak_report(dataset)
 
@@ -206,7 +202,7 @@ class TestSummaryUnits:
             ips=np.asarray([2], dtype=np.uint32), stack=HoneytrapStack(),
         )
         events = [event(gn, src_ip=1, src_asn=10), event(ht, src_ip=2, src_asn=20)]
-        dataset = AnalysisDataset(events, [gn, ht], WEEK_2021)
+        dataset = AnalysisDataset.from_events(events, [gn, ht], WEEK_2021)
         rows = vantage_summary(dataset)
         collections = {(row.network, row.collection): row for row in rows}
         assert collections[("aws", "GreyNoise")].unique_scan_ips == 1

@@ -1,16 +1,13 @@
-"""Columnar contingency engine == row-wise analyses, bit for bit.
+"""Columnar contingency engine outputs, pinned as golden digests.
 
 The engine pre-aggregates per-(vantage × characteristic) count matrices
 and per-source behavior tables in one pass over the event tables; every
 pairwise-comparison analysis then slices those matrices instead of
-re-scanning events.  These tests pin the only contract that makes that
-refactor safe: at a fixed seed, the engine-backed fast paths produce
-*exactly* the same outputs — same values, same float bits, same dict
-ordering — as the legacy row-wise paths they replace.
-
-The row-wise paths stay reachable: a dataset constructed from bare event
-lists (no tables) has no engine, so building a "row twin" of the shared
-fixture exercises legacy code against the same events.
+re-scanning events.  Each output below is compared, through
+:func:`tests.golden.digest`, with the digest in
+``tests/golden_outputs.json`` — values, float bits and dict ordering
+included.  The digests were pinned while the row-wise implementations
+still existed and only after the engine output equalled theirs.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import pytest
 
 from repro.analysis.campaigns import infer_campaigns
 from repro.analysis.commands import command_summary
-from repro.analysis.dataset import AnalysisDataset
 from repro.analysis.geography import (
     build_region_profiles,
     geo_similarity,
@@ -30,32 +26,18 @@ from repro.analysis.leak import leak_report, unique_credentials_per_group
 from repro.analysis.neighborhoods import neighborhood_report
 from repro.analysis.networks import network_type_report, telescope_as_report
 from repro.analysis.tags import tag_distribution, tag_sources
+from tests.golden import digest, load_golden
+
+GOLDEN = load_golden()["contingency"]
 
 
-def _row_twin(dataset: AnalysisDataset) -> AnalysisDataset:
-    """The same events with no tables: forces every legacy row path."""
-    return AnalysisDataset(
-        events=dataset.events,
-        vantages=dataset.vantages,
-        window=dataset.window,
-        telescope=dataset.telescope,
-        leak_experiment=dataset.leak_experiment,
-    )
-
-
-@pytest.fixture(scope="module")
-def row_dataset(dataset):
-    return _row_twin(dataset)
+def assert_golden(name: str, value) -> None:
+    assert digest(value) == GOLDEN[name], name
 
 
 @pytest.fixture(scope="module")
 def dataset_2020(small_context_2020):
     return small_context_2020.dataset
-
-
-@pytest.fixture(scope="module")
-def row_dataset_2020(dataset_2020):
-    return _row_twin(dataset_2020)
 
 
 class TestEngineAvailability:
@@ -67,15 +49,10 @@ class TestEngineAvailability:
         assert aggregates is not None
         assert dataset.source_aggregates() is aggregates
 
-    def test_row_backed_dataset_has_no_engine(self, row_dataset):
-        assert row_dataset.tables is None
-        assert row_dataset.contingency() is None
-        assert row_dataset.source_aggregates() is None
-
 
 class TestNeighborhoodParity:
-    def test_default_report(self, dataset, row_dataset):
-        assert neighborhood_report(dataset) == neighborhood_report(row_dataset)
+    def test_default_report(self, dataset):
+        assert_golden("neighborhood_report/2021", neighborhood_report(dataset))
 
     @pytest.mark.parametrize("kwargs", [
         {"k": 1},
@@ -84,118 +61,97 @@ class TestNeighborhoodParity:
         {"bonferroni": False},
         {"max_honeypots_per_neighborhood": 2},
     ])
-    def test_parameter_variants(self, dataset, row_dataset, kwargs):
-        assert neighborhood_report(dataset, **kwargs) == neighborhood_report(
-            row_dataset, **kwargs
-        )
+    def test_parameter_variants(self, dataset, kwargs):
+        (key, value), = kwargs.items()
+        assert_golden(f"neighborhood_report/2021/{key}={value}",
+                      neighborhood_report(dataset, **kwargs))
 
-    def test_2020(self, dataset_2020, row_dataset_2020):
-        assert neighborhood_report(dataset_2020) == neighborhood_report(
-            row_dataset_2020
-        )
+    def test_2020(self, dataset_2020):
+        assert_golden("neighborhood_report/2020", neighborhood_report(dataset_2020))
 
 
 class TestGeographyParity:
     @pytest.mark.parametrize("aggregate", ["median", "sum"])
-    def test_region_profiles(self, dataset, row_dataset, aggregate):
-        fast = build_region_profiles(dataset, aggregate=aggregate)
-        legacy = build_region_profiles(row_dataset, aggregate=aggregate)
-        assert fast == legacy
+    def test_region_profiles(self, dataset, aggregate):
+        assert_golden(f"build_region_profiles/2021/{aggregate}",
+                      build_region_profiles(dataset, aggregate=aggregate))
 
-    def test_geo_similarity(self, dataset, row_dataset):
-        assert geo_similarity(dataset) == geo_similarity(row_dataset)
+    def test_geo_similarity(self, dataset):
+        assert_golden("geo_similarity/2021", geo_similarity(dataset))
 
-    def test_most_different_regions(self, dataset, row_dataset):
-        assert most_different_regions(dataset) == most_different_regions(row_dataset)
+    def test_most_different_regions(self, dataset):
+        assert_golden("most_different_regions/2021", most_different_regions(dataset))
 
-    def test_explicit_profiles_use_legacy_path(self, dataset, row_dataset):
-        """Pre-built profiles (the ablation entry point) still work."""
+    def test_explicit_profiles_use_legacy_path(self, dataset):
+        """Pre-built profiles (the ablation entry point) compare Counters
+        and give the same cells as the engine path."""
         profiles = build_region_profiles(dataset)
-        assert most_different_regions(
-            dataset, profiles=profiles
-        ) == most_different_regions(row_dataset)
+        result = most_different_regions(dataset, profiles=profiles)
+        assert_golden("most_different_regions/2021/explicit_profiles", result)
+        assert result == most_different_regions(dataset)
 
-    def test_2020(self, dataset_2020, row_dataset_2020):
-        assert geo_similarity(dataset_2020) == geo_similarity(row_dataset_2020)
-        assert most_different_regions(dataset_2020) == most_different_regions(
-            row_dataset_2020
-        )
+    def test_2020(self, dataset_2020):
+        assert_golden("geo_similarity/2020", geo_similarity(dataset_2020))
+        assert_golden("most_different_regions/2020", most_different_regions(dataset_2020))
 
 
 class TestNetworkParity:
-    def test_network_type_report(self, dataset, row_dataset):
-        assert network_type_report(dataset) == network_type_report(row_dataset)
+    def test_network_type_report(self, dataset):
+        assert_golden("network_type_report/2021", network_type_report(dataset))
 
-    def test_telescope_as_report(self, dataset, row_dataset):
-        assert telescope_as_report(dataset) == telescope_as_report(row_dataset)
+    def test_telescope_as_report(self, dataset):
+        assert_golden("telescope_as_report/2021", telescope_as_report(dataset))
 
-    def test_2020(self, dataset_2020, row_dataset_2020):
-        assert network_type_report(dataset_2020) == network_type_report(
-            row_dataset_2020
-        )
-        assert telescope_as_report(dataset_2020) == telescope_as_report(
-            row_dataset_2020
-        )
+    def test_2020(self, dataset_2020):
+        assert_golden("network_type_report/2020", network_type_report(dataset_2020))
+        assert_golden("telescope_as_report/2020", telescope_as_report(dataset_2020))
 
 
 class TestTagParity:
-    def test_tag_sources_values_and_order(self, dataset, row_dataset):
-        fast = tag_sources(dataset)
-        legacy = tag_sources(row_dataset)
-        assert fast == legacy
-        # Dict ordering is part of the contract: downstream reports
-        # iterate sources in first-observation order.
-        assert list(fast) == list(legacy)
+    def test_tag_sources_values_and_order(self, dataset):
+        # The digest pins dict ordering too: downstream reports iterate
+        # sources in first-observation order.
+        assert_golden("tag_sources/2021", tag_sources(dataset))
 
-    def test_tag_distribution(self, dataset, row_dataset):
-        assert tag_distribution(tag_sources(dataset)) == tag_distribution(
-            tag_sources(row_dataset)
-        )
+    def test_tag_distribution(self, dataset):
+        assert_golden("tag_distribution/2021", tag_distribution(tag_sources(dataset)))
 
-    def test_2020(self, dataset_2020, row_dataset_2020):
-        fast = tag_sources(dataset_2020)
-        legacy = tag_sources(row_dataset_2020)
-        assert fast == legacy and list(fast) == list(legacy)
+    def test_2020(self, dataset_2020):
+        assert_golden("tag_sources/2020", tag_sources(dataset_2020))
 
 
 class TestCampaignParity:
     @pytest.mark.parametrize("min_size", [1, 2, 5])
-    def test_min_size_variants(self, dataset, row_dataset, min_size):
-        assert infer_campaigns(dataset, min_size=min_size) == infer_campaigns(
-            row_dataset, min_size=min_size
-        )
+    def test_min_size_variants(self, dataset, min_size):
+        assert_golden(f"infer_campaigns/2021/min_size={min_size}",
+                      infer_campaigns(dataset, min_size=min_size))
 
-    def test_2020(self, dataset_2020, row_dataset_2020):
-        assert infer_campaigns(dataset_2020, min_size=2) == infer_campaigns(
-            row_dataset_2020, min_size=2
-        )
+    def test_2020(self, dataset_2020):
+        assert_golden("infer_campaigns/2020/min_size=2",
+                      infer_campaigns(dataset_2020, min_size=2))
 
 
 class TestCommandParity:
     @pytest.mark.parametrize("top", [1, 3, 10, 25])
-    def test_summary(self, dataset, row_dataset, top):
-        fast = command_summary(dataset, top=top)
-        legacy = command_summary(row_dataset, top=top)
-        assert fast == legacy
-        assert fast.top_commands == legacy.top_commands  # order included
+    def test_summary(self, dataset, top):
+        # top_commands order is part of the digest.
+        assert_golden(f"command_summary/2021/top={top}", command_summary(dataset, top=top))
 
-    def test_2020(self, dataset_2020, row_dataset_2020):
-        assert command_summary(dataset_2020) == command_summary(row_dataset_2020)
+    def test_2020(self, dataset_2020):
+        assert_golden("command_summary/2020", command_summary(dataset_2020))
 
 
 class TestLeakParity:
-    def test_leak_report(self, dataset, row_dataset):
-        assert leak_report(dataset) == leak_report(row_dataset)
+    def test_leak_report(self, dataset):
+        assert_golden("leak_report/2021", leak_report(dataset))
 
-    def test_leak_report_alpha(self, dataset, row_dataset):
-        assert leak_report(dataset, alpha=0.01) == leak_report(row_dataset, alpha=0.01)
+    def test_leak_report_alpha(self, dataset):
+        assert_golden("leak_report/2021/alpha=0.01", leak_report(dataset, alpha=0.01))
 
     @pytest.mark.parametrize("port", [22, 23, 80])
-    def test_unique_credentials(self, dataset, row_dataset, port):
-        fast = unique_credentials_per_group(dataset, port=port)
-        legacy = unique_credentials_per_group(row_dataset, port=port)
-        assert fast == legacy
-        assert list(fast) == list(legacy)
+    def test_unique_credentials(self, dataset, port):
+        assert_golden(f"unique_credentials_per_group/2021/port={port}",
+                      unique_credentials_per_group(dataset, port=port))
 
 
 class TestMatrixInternals:
@@ -210,7 +166,7 @@ class TestMatrixInternals:
             vid for vid, table in dataset.tables.items()
             if len(table) and engine.row(vid) is not None
         )
-        events = [e for e in dataset.events if e.vantage_id == vantage_id]
+        events = dataset.events_for(vantage_id)
         expected = Counter(e.src_asn for e in events)
         row = engine.row(vantage_id)
         got = engine.counter("any_all", "as", [row])

@@ -38,7 +38,7 @@ def synthetic():
     events = [attack(a, i) for i in range(1, 11)]
     events += [attack(b, i) for i in range(5, 15)]
     events += [attack(c, 100)]
-    return AnalysisDataset(events, [a, b, c], WEEK_2021)
+    return AnalysisDataset.from_events(events, [a, b, c], WEEK_2021)
 
 
 class TestGroupCoverage:
@@ -77,7 +77,7 @@ class TestGreedyDeployment:
 
     def test_empty_dataset(self):
         v = vantage("gn-aws-US-CA-0", "aws", "US-CA", 1)
-        dataset = AnalysisDataset([], [v], WEEK_2021)
+        dataset = AnalysisDataset.from_events([], [v], WEEK_2021)
         assert greedy_deployment(dataset) == []
 
     def test_invalid_target(self, synthetic):

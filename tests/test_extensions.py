@@ -22,6 +22,7 @@ from repro.scanners.strategies import TargetStrategy
 from repro.sim.engine import SimulationConfig, run_simulation
 from repro.sim.events import Credential, NetworkKind, ScanIntent
 from repro.sim.rng import RngHub
+from tests.intents import capture_one
 
 
 def make_vantage(stack):
@@ -39,7 +40,7 @@ class TestUdpCapture:
             transport=Transport.UDP, protocol="sip",
             payload=b"OPTIONS sip:nm@1.2.3.4 SIP/2.0\r\nCSeq: 42 OPTIONS\r\n\r\n",
         )
-        event = stack.capture(intent, make_vantage(stack), 1)
+        event = capture_one(stack, intent, make_vantage(stack), 1)
         assert not event.handshake  # honeypots never respond to UDP
         assert fingerprint(event.payload) == "sip"
 
@@ -70,12 +71,12 @@ class TestFirewalledStack:
 
     def test_full_drop_blocks_all_malicious(self):
         stack = FirewalledStack(HoneytrapStack(), drop_probability=1.0)
-        assert stack.capture(self.exploit_intent(), make_vantage(stack), 1) is None
+        assert capture_one(stack, self.exploit_intent(), make_vantage(stack), 1) is None
         assert stack.dropped == 1
 
     def test_benign_always_passes(self):
         stack = FirewalledStack(HoneytrapStack(), drop_probability=1.0)
-        event = stack.capture(self.benign_intent(), make_vantage(stack), 1)
+        event = capture_one(stack, self.benign_intent(), make_vantage(stack), 1)
         assert event is not None
 
     def test_login_attempts_are_filterable(self):
@@ -85,11 +86,11 @@ class TestFirewalledStack:
             timestamp=1.0, src_ip=7, dst_ip=1000, dst_port=22, protocol="ssh",
             payload=b"SSH-2.0-x\r\n", credentials=(Credential("root", "root"),),
         )
-        assert stack.capture(intent, make_vantage(stack), 1) is None
+        assert capture_one(stack, intent, make_vantage(stack), 1) is None
 
     def test_zero_probability_is_transparent(self):
         stack = FirewalledStack(HoneytrapStack(), drop_probability=0.0)
-        assert stack.capture(self.exploit_intent(), make_vantage(stack), 1) is not None
+        assert capture_one(stack, self.exploit_intent(), make_vantage(stack), 1) is not None
 
     def test_partial_drop_deterministic(self):
         stack = FirewalledStack(HoneytrapStack(), drop_probability=0.5, seed=3)
@@ -98,9 +99,9 @@ class TestFirewalledStack:
                        protocol="http", payload=http_payload("log4shell").render())
             for i in range(200)
         ]
-        survived = [stack.capture(i, make_vantage(stack), 1) is not None for i in intents]
+        survived = [capture_one(stack, i, make_vantage(stack), 1) is not None for i in intents]
         again = FirewalledStack(HoneytrapStack(), drop_probability=0.5, seed=3)
-        survived_again = [again.capture(i, make_vantage(again), 1) is not None for i in intents]
+        survived_again = [capture_one(again, i, make_vantage(again), 1) is not None for i in intents]
         assert survived == survived_again
         assert 0.3 < sum(survived) / len(survived) < 0.7
 

@@ -9,6 +9,7 @@ from repro.honeypots.greynoise import GREYNOISE_DEFAULT_PORTS, GreyNoiseStack
 from repro.honeypots.honeytrap import HoneytrapStack
 from repro.honeypots.telescope import TelescopeCapture, TelescopeStack
 from repro.sim.events import Credential, NetworkKind, ScanIntent
+from tests.intents import batch_of, capture_one
 
 
 def make_vantage(stack, ips=(1000,), kind=NetworkKind.CLOUD):
@@ -46,14 +47,14 @@ class TestCowrie:
 
     def test_captures_credentials(self):
         stack = CowrieStack()
-        event = stack.capture(ssh_intent(), make_vantage(stack), src_asn=4134)
+        event = capture_one(stack, ssh_intent(), make_vantage(stack), src_asn=4134)
         assert event.credentials == (("root", "123456"),)
         assert event.handshake
         assert event.src_asn == 4134
 
     def test_banner_only_session_recorded_without_credentials(self):
         stack = CowrieStack()
-        event = stack.capture(ssh_intent(credentials=()), make_vantage(stack), 1)
+        event = capture_one(stack, ssh_intent(credentials=()), make_vantage(stack), 1)
         assert event.credentials == ()
         assert event.payload.startswith(b"SSH-")
         assert not event.attempted_login
@@ -66,15 +67,15 @@ class TestHoneytrap:
 
     def test_first_payload_no_credentials(self):
         stack = HoneytrapStack()
-        event = stack.capture(ssh_intent(), make_vantage(stack), 1)
+        event = capture_one(stack, ssh_intent(), make_vantage(stack), 1)
         assert event.payload.startswith(b"SSH-")
         assert event.credentials == ()  # Honeytrap cannot observe logins
 
     def test_interactive_ports_capture_credentials(self):
         stack = HoneytrapStack(interactive_ports=frozenset({22}))
-        event = stack.capture(ssh_intent(), make_vantage(stack), 1)
+        event = capture_one(stack, ssh_intent(), make_vantage(stack), 1)
         assert event.credentials == (("root", "123456"),)
-        other = stack.capture(ssh_intent(port=2222), make_vantage(stack), 1)
+        other = capture_one(stack, ssh_intent(port=2222), make_vantage(stack), 1)
         assert other.credentials == ()
 
 
@@ -87,7 +88,7 @@ class TestGreyNoise:
 
     def test_cowrie_ports_capture_credentials(self):
         stack = GreyNoiseStack()
-        event = stack.capture(ssh_intent(), make_vantage(stack), 1)
+        event = capture_one(stack, ssh_intent(), make_vantage(stack), 1)
         assert event.credentials == (("root", "123456"),)
 
     def test_non_cowrie_ports_payload_only(self):
@@ -97,7 +98,7 @@ class TestGreyNoise:
             protocol="telnet", payload=b"\xff\xfb\x1f",
             credentials=(Credential("root", "root"),),
         )
-        event = stack.capture(intent, make_vantage(stack), 1)
+        event = capture_one(stack, intent, make_vantage(stack), 1)
         assert event.payload == b"\xff\xfb\x1f"
         assert event.credentials == ()  # no login emulation off the Cowrie ports
 
@@ -117,7 +118,7 @@ class TestTelescopeStack:
 
     def test_captures_headers_only(self):
         stack = TelescopeStack()
-        event = stack.capture(http_intent(), make_vantage(stack, kind=NetworkKind.TELESCOPE), 1)
+        event = capture_one(stack, http_intent(), make_vantage(stack, kind=NetworkKind.TELESCOPE), 1)
         assert event.payload == b""
         assert not event.handshake
         assert event.dst_port == 80
@@ -130,8 +131,9 @@ class TestVantageCapture:
     def test_records_observed_ports_only(self):
         stack = GreyNoiseStack(frozenset({22}))
         capture = VantageCapture(make_vantage(stack))
-        assert capture.record(ssh_intent(port=22), 1) is not None
-        assert capture.record(http_intent(port=80), 1) is None
+        asns = np.asarray([1])
+        assert capture.record_batch(batch_of(ssh_intent(port=22)), asns) == 1
+        assert capture.record_batch(batch_of(http_intent(port=80)), asns) == 0
         assert len(capture) == 1
 
     def test_vantage_requires_ips(self):

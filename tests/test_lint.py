@@ -188,6 +188,31 @@ class TestCleanSources:
         assert report.files_scanned == len(CLEAN_SOURCES)
 
 
+#: Analyses that run only on event tables: any function in them is a
+#: columnar path, not just ``map_shard`` mappers.
+TABLE_ONLY_ANALYSES = ("campaigns", "commands", "leak", "neighborhoods",
+                       "overlap", "ports", "tags", "timeseries")
+
+
+class TestColumnarFiles:
+    @pytest.mark.parametrize("module", TABLE_ONLY_ANALYSES)
+    def test_materialize_anywhere_is_flagged(self, tmp_path, module):
+        rel_path = f"repro/analysis/{module}.py"
+        build_tree(tmp_path, {rel_path: (
+            "def summarize(dataset):\n"
+            "    return [table.materialize() for table in dataset.tables.values()]\n"
+        )})
+        report = run_lint(tmp_path)
+        assert [(f.code, f.path) for f in report.findings] == [("COL001", rel_path)]
+
+    def test_other_analyses_only_guard_mappers(self, tmp_path):
+        build_tree(tmp_path, {"repro/analysis/coverage.py": (
+            "def summarize(dataset):\n"
+            "    return [table.materialize() for table in dataset.tables.values()]\n"
+        )})
+        assert run_lint(tmp_path).findings == []
+
+
 class TestFullPass:
     """The repo's own source must satisfy its own invariants."""
 

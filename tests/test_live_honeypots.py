@@ -333,7 +333,7 @@ class TestLiveAnalysisIntegration:
             return pot
 
         pot = run(scenario())
-        dataset = AnalysisDataset(pot.events, [live_vantage(pot)], WEEK_2021)
+        dataset = AnalysisDataset.from_events(pot.events, [live_vantage(pot)], WEEK_2021)
         malicious, total = dataset.malicious_fraction(dataset.events)
         assert total == 3
         assert malicious == 2  # exploit + login attempt; benign GET passes

@@ -57,7 +57,7 @@ def honeytrap_world():
         if vantage.network == "merit":
             for scanner in range(60):
                 events.append(event(vantage, src_ip=5000 + scanner, src_asn=666))
-    return AnalysisDataset(events, vantages, WEEK_2021)
+    return AnalysisDataset.from_events(events, vantages, WEEK_2021)
 
 
 class TestNetworkTypeReport:
@@ -100,7 +100,7 @@ class TestTelescopeAsReport:
             np.asarray([4134] * 40),
             np.asarray([5] * 40),
         )
-        dataset = AnalysisDataset(
+        dataset = AnalysisDataset.from_events(
             honeytrap_world.events, honeytrap_world.vantages, WEEK_2021,
             telescope=capture,
         )

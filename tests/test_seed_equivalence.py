@@ -1,16 +1,19 @@
-"""Batch and scalar emission modes must produce identical datasets.
+"""A seed pins the simulated dataset, column for column.
 
-The simulator has two emission paths sharing one RNG-draw order: the
-vectorized batch path (``SimulationConfig(emission="batch")``, the
-default) and the scalar per-session path (``emission="scalar"``).  The
-whole point of the documented draw order is that the same seed yields
-bit-identical captures either way — across every capture-stack policy
-(GreyNoise with and without Cowrie ports, Honeytrap, the leak
-experiment's interactive honeypots, the telescope aggregate) and through
-the downstream analyses.
+The simulator draws all randomness while *building* intent batches, in a
+documented order, so a fixed seed yields a fixed dataset across every
+capture-stack policy (GreyNoise with and without Cowrie ports,
+Honeytrap, the leak experiment's interactive honeypots, the telescope
+aggregate, and a transparent upstream firewall) and through the
+downstream analyses.  The expected values are digests in
+``tests/golden_outputs.json``, pinned while a scalar one-event capture
+path still existed and only after it agreed with the batch path (and,
+for the firewall, taken from that per-row path).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,49 +21,55 @@ import pytest
 from repro.analysis.dataset import AnalysisDataset
 from repro.analysis.timeseries import hourly_matrix
 from repro.deployment.fleet import build_full_deployment
+from repro.honeypots.firewall import FirewalledStack
 from repro.scanners.population import PopulationConfig, build_population
 from repro.sim.engine import SimulationConfig, run_simulation
 from repro.sim.events import NetworkKind
 from repro.sim.rng import RngHub
+from tests.golden import digest, load_golden, table_digests, telescope_digest
 
 SCALE = 0.05
 TELESCOPE_SLASH24S = 4
 SEED = 5
+FIREWALL_DROP = 0.5
+FIREWALL_SEED = 17
+
+GOLDEN = load_golden()
 
 
-def _simulate(emission: str):
+def _simulate(firewall: bool = False):
     deployment = build_full_deployment(RngHub(1), num_telescope_slash24s=TELESCOPE_SLASH24S)
+    if firewall:
+        for index, vantage in enumerate(deployment.honeypots):
+            deployment.honeypots[index] = replace(
+                vantage,
+                stack=FirewalledStack(vantage.stack, FIREWALL_DROP, seed=FIREWALL_SEED),
+            )
     population = build_population(PopulationConfig(year=2021, scale=SCALE))
-    return run_simulation(
-        deployment, population, SimulationConfig(seed=SEED, emission=emission)
-    )
+    return run_simulation(deployment, population, SimulationConfig(seed=SEED))
 
 
 @pytest.fixture(scope="module")
 def batch_result():
-    return _simulate("batch")
+    return _simulate()
 
 
 @pytest.fixture(scope="module")
-def scalar_result():
-    return _simulate("scalar")
+def firewalled_result():
+    return _simulate(firewall=True)
 
 
-def test_emission_mode_validated():
-    with pytest.raises(ValueError):
-        SimulationConfig(seed=1, emission="rowwise")
-
-
-def test_total_events_match(batch_result, scalar_result):
+def test_total_events_match(batch_result):
     assert batch_result.total_events() > 0
-    assert batch_result.total_events() == scalar_result.total_events()
+    assert batch_result.total_events() == GOLDEN["seed_equivalence"]["total_events"]
 
 
-def test_events_identical_per_vantage(batch_result, scalar_result):
-    assert set(batch_result.captures) == set(scalar_result.captures)
-    for vantage_id, batch_capture in batch_result.captures.items():
-        scalar_capture = scalar_result.captures[vantage_id]
-        assert batch_capture.events == scalar_capture.events, vantage_id
+def test_events_identical_per_vantage(batch_result):
+    expected = GOLDEN["seed_equivalence"]["tables"]
+    assert list(batch_result.captures) == list(expected)
+    got = table_digests(batch_result.tables())
+    mismatched = [vantage_id for vantage_id in expected if got[vantage_id] != expected[vantage_id]]
+    assert mismatched == []
 
 
 def test_all_stack_policies_exercised(batch_result):
@@ -80,33 +89,35 @@ def test_all_stack_policies_exercised(batch_result):
     assert ports - {22, 23, 2222, 2323}
 
 
-def test_telescope_aggregate_matches(batch_result, scalar_result):
-    batch_telescope = batch_result.telescope
-    scalar_telescope = scalar_result.telescope
-    assert batch_telescope is not None and scalar_telescope is not None
-    assert batch_telescope.port_src_hits == scalar_telescope.port_src_hits
-    assert batch_telescope.asn_of_src == scalar_telescope.asn_of_src
-    for port in batch_telescope.ports():
-        np.testing.assert_array_equal(
-            batch_telescope.unique_sources_per_destination(port),
-            scalar_telescope.unique_sources_per_destination(port),
-        )
+def test_telescope_aggregate_matches(batch_result):
+    assert batch_result.telescope is not None
+    assert telescope_digest(batch_result.telescope) == GOLDEN["seed_equivalence"]["telescope"]
 
 
-def test_analysis_outputs_match(batch_result, scalar_result):
-    batch_dataset = AnalysisDataset.from_simulation(batch_result)
-    scalar_dataset = AnalysisDataset.from_simulation(scalar_result)
+def test_analysis_outputs_match(batch_result):
+    expected = GOLDEN["seed_equivalence"]["analysis"]
+    dataset = AnalysisDataset.from_simulation(batch_result)
     for port in (22, 23, 80, 443):
         for kind in (NetworkKind.CLOUD, NetworkKind.EDU):
-            assert batch_dataset.sources_on_port(port, kind) == (
-                scalar_dataset.sources_on_port(port, kind)
-            ), (port, kind)
+            name = f"sources_on_port/{port}/{kind.value}"
+            assert digest(dataset.sources_on_port(port, kind)) == expected[name], name
     for port in (22, 80):
-        assert batch_dataset.malicious_sources_on_port(port, NetworkKind.CLOUD) == (
-            scalar_dataset.malicious_sources_on_port(port, NetworkKind.CLOUD)
-        ), port
+        name = f"malicious_sources_on_port/{port}/cloud"
+        assert digest(dataset.malicious_sources_on_port(port, NetworkKind.CLOUD)) == (
+            expected[name]
+        ), name
     vantage_ids = sorted(batch_result.captures)[:8]
-    np.testing.assert_array_equal(
-        hourly_matrix(batch_dataset, vantage_ids),
-        hourly_matrix(scalar_dataset, vantage_ids),
-    )
+    assert digest(hourly_matrix(dataset, vantage_ids)) == expected["hourly_matrix/first8"]
+
+
+def test_firewalled_capture_matches_per_row_drops(firewalled_result):
+    """The batch keep mask drops exactly the sessions the per-row
+    firewall did, and the inner stacks record the rest unchanged."""
+    expected = GOLDEN["firewall"]
+    honeypots = firewalled_result.deployment.honeypots
+    assert sum(vantage.stack.dropped for vantage in honeypots) == expected["dropped"]
+    assert firewalled_result.total_events() == expected["total_events"]
+    got = table_digests(firewalled_result.tables())
+    mismatched = [vantage_id for vantage_id in expected["tables"]
+                  if got[vantage_id] != expected["tables"][vantage_id]]
+    assert mismatched == []

@@ -99,6 +99,6 @@ class TestFigure1Series:
         from repro.sim.clock import WEEK_2021
 
         vantage = synthetic_telescope().vantage
-        dataset = AnalysisDataset([], [vantage], WEEK_2021, telescope=None)
+        dataset = AnalysisDataset.from_events([], [vantage], WEEK_2021, telescope=None)
         with pytest.raises(ValueError):
             figure1_series(dataset, 80)

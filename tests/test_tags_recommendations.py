@@ -1,16 +1,15 @@
 """Tests for actor tagging and the Section 8 operator report."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.analysis.dataset import AnalysisDataset
 from repro.analysis.recommendations import operator_report
-from repro.analysis.tags import (
-    SourceBehavior,
-    TAG_RULES,
-    tag_distribution,
-    tag_sources,
-)
+from repro.analysis.tags import TAG_RULES, tag_distribution, tag_sources
 from repro.honeypots.base import VantagePoint
 from repro.honeypots.honeytrap import HoneytrapStack
 from repro.scanners.payloads import http_payload, protocol_first_payload
@@ -37,7 +36,7 @@ def event(src_ip, port, payload=b"", credentials=()):
 
 class TestTagRules:
     def _tags_for(self, events):
-        dataset = AnalysisDataset(events, [vantage()], WEEK_2021)
+        dataset = AnalysisDataset.from_events(events, [vantage()], WEEK_2021)
         return tag_sources(dataset)
 
     def test_mirai_credentials_tagged(self):
@@ -85,8 +84,7 @@ class TestTagRules:
         assert tags[7] == frozenset()
 
     def test_rule_names_unique(self):
-        names = [name for name, _predicate in TAG_RULES]
-        assert len(names) == len(set(names))
+        assert len(TAG_RULES) == len(set(TAG_RULES))
 
 
 class TestTagDistribution:
@@ -105,6 +103,24 @@ class TestTagDistribution:
             3: frozenset({"common"}),
         })
         assert list(distribution) == ["common", "rare"]
+
+    def test_ties_ordered_by_name_in_every_process(self):
+        """Tied tags must not come out in frozenset (string-hash) order,
+        which changes with ``PYTHONHASHSEED`` between processes."""
+        script = (
+            "from repro.analysis.tags import tag_distribution\n"
+            "tags = {1: frozenset(f'tag-{j}' for j in range(12)), 2: frozenset({'tag-0'})}\n"
+            "print(list(tag_distribution(tags)))\n"
+        )
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert len(outputs) == 1
 
 
 class TestOperatorReport:
