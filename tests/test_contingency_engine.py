@@ -15,8 +15,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.blocklists import (
+    CONTINENT_GROUPS,
+    _continent_vantages,
+    build_blocklist,
+    write_blocklist_file,
+)
 from repro.analysis.campaigns import infer_campaigns
 from repro.analysis.commands import command_summary
+from repro.analysis.coverage import greedy_deployment, group_coverage
 from repro.analysis.geography import (
     build_region_profiles,
     geo_similarity,
@@ -26,6 +33,10 @@ from repro.analysis.leak import leak_report, unique_credentials_per_group
 from repro.analysis.neighborhoods import neighborhood_report
 from repro.analysis.networks import network_type_report, telescope_as_report
 from repro.analysis.tags import tag_distribution, tag_sources
+from repro.analysis.temporal import year_over_year_shift
+from repro.experiments import ALL_EXPERIMENTS
+from repro.sim.events import NetworkKind
+from repro.sim.validation import validate_calibration
 from tests.golden import digest, load_golden
 
 GOLDEN = load_golden()["contingency"]
@@ -152,6 +163,55 @@ class TestLeakParity:
     def test_unique_credentials(self, dataset, port):
         assert_golden(f"unique_credentials_per_group/2021/port={port}",
                       unique_credentials_per_group(dataset, port=port))
+
+
+class TestMaliciousnessParity:
+    """Outputs built on per-event maliciousness and fingerprint verdicts:
+    blocklists, deployment coverage, reputation, year-over-year drift and
+    the simulator's calibration report."""
+
+    def test_group_coverage(self, dataset):
+        assert_golden("group_coverage/2021", group_coverage(dataset))
+
+    def test_greedy_deployment(self, dataset):
+        assert_golden("greedy_deployment/2021/target_fraction=0.95",
+                      greedy_deployment(dataset, target_fraction=0.95))
+        # 0.95 is reached in one step on this fixture; the full walk
+        # and its two-step cut pin the greedy order past the head.
+        assert_golden("greedy_deployment/2021/target_fraction=1.0",
+                      greedy_deployment(dataset, target_fraction=1.0))
+        assert_golden("greedy_deployment/2021/target_fraction=1.0/max_steps=2",
+                      greedy_deployment(dataset, target_fraction=1.0, max_steps=2))
+
+    def test_year_over_year_shift(self, dataset, dataset_2020):
+        assert_golden("year_over_year_shift/2020-2021",
+                      year_over_year_shift(dataset_2020, dataset))
+
+    def test_validate_calibration(self, small_context):
+        assert_golden("validate_calibration/2021",
+                      validate_calibration(small_context.result).findings)
+
+    def test_build_blocklist_until_hour(self, dataset):
+        half = dataset.window.hours / 2.0
+        assert_golden("build_blocklist/2021/until_hour=half", {
+            group: build_blocklist(dataset, _continent_vantages(dataset, group), half)
+            for group in CONTINENT_GROUPS
+        })
+
+    def test_x1_external_blocklist_file(self, small_context, tmp_path):
+        """X1 scored against a file of IP and ``AS<n>`` lines.  The data
+        is pinned; the rendered text names the temporary path."""
+        dataset = small_context.dataset
+        ips = sorted(dataset.sources_on_port(22, NetworkKind.CLOUD))[::5]
+        path = tmp_path / "blocklist.txt"
+        write_blocklist_file(path, ips=ips, asns=(4134, 4837, 14061))
+        output = ALL_EXPERIMENTS["X1"](small_context, blocklist_path=str(path))
+        assert_golden("X1/2021/blocklist_file", output.data)
+
+    def test_reputation_counts(self, dataset):
+        oracle = dataset.reputation_oracle()
+        assert_golden("reputation_oracle_counts/2021", oracle.counts())
+        assert_golden("reputation_oracle_malicious_ips/2021", oracle.malicious_ips())
 
 
 class TestMatrixInternals:
