@@ -37,6 +37,7 @@ from repro.stats.topk import union_table
 def test_bench_ablation_top_k(benchmark, context_2021):
     """k=3 vs k=5 vs k=10: near-zero union-table cells and detection rate."""
     dataset = context_2021.dataset
+    engine = dataset.contingency()
 
     def _run():
         rows = []
@@ -48,9 +49,8 @@ def test_bench_ablation_top_k(benchmark, context_2021):
             counters = {}
             for (network, region), vantages in sorted(neighborhoods.items())[:1]:
                 for vantage in vantages:
-                    events = dataset.events_for(vantage.vantage_id)
-                    counters[vantage.vantage_id] = dataset.as_counter(
-                        [e for e in events if e.dst_port == 22]
+                    counters[vantage.vantage_id] = engine.counter(
+                        "ssh22", "as", [engine.row(vantage.vantage_id)]
                     )
             table, _g, _c = union_table(counters, k=k)
             near_zero = float((table == 0).mean())
@@ -164,7 +164,8 @@ def test_bench_ablation_firewall(benchmark):
                     )
             result = run_simulation(deployment, population, SimulationConfig(seed=17))
             dataset = AnalysisDataset.from_simulation(result)
-            malicious, total = dataset.malicious_fraction(dataset.events)
+            engine = dataset.contingency()
+            malicious, total = engine.fraction("any_all", range(len(engine.vantage_ids)))
             rows.append((f"{drop:.0%}", total, f"{100.0 * malicious / max(total, 1):.1f}%"))
         return rows
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from repro.analysis.dataset import AnalysisDataset
 from repro.honeypots.base import VantagePoint
 
@@ -51,13 +53,15 @@ def build_blocklist(
     window (an oracle blocklist; pass half the window for a realistic
     train/apply split).
     """
+    from repro.analysis.contingency_engine import dataset_coder
+
+    coder = dataset_coder(dataset)
     blocklist: set[int] = set()
-    for vantage in vantages:
-        for event in dataset.events_for(vantage.vantage_id):
-            if until_hour is not None and event.timestamp >= until_hour:
-                continue
-            if dataset.is_malicious(event):
-                blocklist.add(event.src_ip)
+    for table in _tables_of(dataset, vantages):
+        mask = coder.malicious_rows(table)
+        if until_hour is not None:
+            mask = mask & (table.timestamps < until_hour)
+        blocklist.update(np.unique(table.src_ip[mask]).tolist())
     return blocklist
 
 
@@ -89,6 +93,12 @@ def write_blocklist_file(path, ips: Iterable[int] = (), asns: Iterable[int] = ()
         for line in lines:
             handle.write(line + "\n")
     return len(lines)
+
+
+def _tables_of(dataset: AnalysisDataset, vantages: Sequence[VantagePoint]) -> list:
+    """The non-empty event tables of ``vantages`` (absent ones skipped)."""
+    tables = (dataset.tables.get(vantage.vantage_id) for vantage in vantages)
+    return [table for table in tables if table is not None and len(table)]
 
 
 @dataclass(frozen=True)
@@ -127,22 +137,26 @@ def blocklist_coverage(
     ``asns`` extends the match beyond source IPs: an event is blocked if
     its source IP *or* its source AS is listed (external blocklist files
     and incident-response runbooks both emit AS entries)."""
+    from repro.analysis.contingency_engine import dataset_coder
+
     blocked_set = set(blocklist)
     blocked_asns = set(asns)
+    blocked_ip_array = np.fromiter(blocked_set, dtype=np.int64, count=len(blocked_set))
+    blocked_asn_array = np.fromiter(blocked_asns, dtype=np.int64, count=len(blocked_asns))
+    coder = dataset_coder(dataset)
     malicious_events = blocked_events = 0
     malicious_ips: set[int] = set()
     blocked_ips: set[int] = set()
-    for vantage in vantages:
-        for event in dataset.events_for(vantage.vantage_id):
-            if event.timestamp < from_hour:
-                continue
-            if not dataset.is_malicious(event):
-                continue
-            malicious_events += 1
-            malicious_ips.add(event.src_ip)
-            if event.src_ip in blocked_set or event.src_asn in blocked_asns:
-                blocked_events += 1
-                blocked_ips.add(event.src_ip)
+    for table in _tables_of(dataset, vantages):
+        malicious = coder.malicious_rows(table) & (table.timestamps >= from_hour)
+        src_ips = table.src_ip[malicious]
+        blocked = np.isin(src_ips, blocked_ip_array) | np.isin(
+            table.src_asn[malicious], blocked_asn_array
+        )
+        malicious_events += int(src_ips.size)
+        blocked_events += int(blocked.sum())
+        malicious_ips.update(np.unique(src_ips).tolist())
+        blocked_ips.update(np.unique(src_ips[blocked]).tolist())
     return BlocklistCoverage(
         blocklist_size=len(blocked_set) + len(blocked_asns),
         malicious_events=malicious_events,

@@ -109,9 +109,11 @@ class _ShardCoder:
 
     Payloads are coded once per *distinct* value; fingerprint, stripped
     form, and Snort alerts are derived per code, never per event.  The
-    same coder serves the matrix build, the per-source aggregation, and
-    the leak histograms, so each shard pays for coding exactly once per
-    build.
+    dataset's one coder (:func:`dataset_coder`) is the only place a
+    fingerprint or maliciousness verdict is decided: the matrix build,
+    the per-source aggregation, leak, blocklists, coverage, ports,
+    reputation and the X5 closed loop all read it, so each table is
+    coded once per build.
     """
 
     def __init__(self, classifier) -> None:
@@ -141,6 +143,7 @@ class _ShardCoder:
         # build and the source build walk the same tables; sharing one
         # coder per dataset means the second build recodes nothing.
         self._table_memo: dict[int, tuple] = {}
+        self._flag_memo: dict[int, tuple] = {}
 
     def coded(self, table) -> tuple:
         """Memoized ``(payload_codes, (has_cred, pair_rows, pair_users,
@@ -152,6 +155,19 @@ class _ShardCoder:
         value = (self.code_payloads(table), self.code_credentials(table))
         self._table_memo[key] = (table, value)
         return value
+
+    def malicious_rows(self, table) -> np.ndarray:
+        """Memoized per-row Section 3.2 verdicts for one table."""
+        key = id(table)
+        hit = self._flag_memo.get(key)
+        if hit is not None and hit[0] is table:
+            return hit[1]
+        payload_codes, (has_cred, *_pairs) = self.coded(table)
+        flags = self.malicious_flags(
+            np.asarray(table.dst_port, dtype=np.int64), payload_codes, has_cred
+        )
+        self._flag_memo[key] = (table, flags)
+        return flags
 
     def fp_lookup(self) -> np.ndarray:
         """``fp_of_payload`` as an array, amortized against list growth."""
@@ -427,7 +443,7 @@ def _matrix_map(view: ShardView, coder: "_ShardCoder") -> _MatrixPartial:
         as_codes = coder.code_asns(table)
         event_fp = coder.fp_lookup()[payload_codes]
         stripped = coder.stripped_lookup()[payload_codes]
-        mal = coder.malicious_flags(ports, payload_codes, has_cred)
+        mal = coder.malicious_rows(table)
         cred_events[row] = int(has_cred.sum())
         nonempty_payload = stripped >= 0
         http_code = coder.fp_codes.get("http", -1)
@@ -579,11 +595,11 @@ class ContingencyEngine:
     def active_rows(self, slice_key: str, vantage_ids: Iterable[str]) -> list[int]:
         """Rows of the given vantages that saw traffic in the slice —
         the columnar analogue of "slice the events, drop empties"."""
-        slice_events = self.events[slice_key]
+        in_slice = self.events[slice_key]
         rows = []
         for vantage_id in vantage_ids:
             row = self.vantage_row.get(vantage_id)
-            if row is not None and slice_events[row] > 0:
+            if row is not None and in_slice[row] > 0:
                 rows.append(row)
         return rows
 
@@ -748,7 +764,7 @@ def _source_map(view: ShardView, coder: "_ShardCoder") -> _SourcePartial:
         ports = np.asarray(table.dst_port, dtype=np.int64)
         src = np.asarray(table.src_ip, dtype=np.int64)
         payload_codes, creds = coder.coded(table)
-        has_cred, pair_rows, pair_users, pair_passwords = creds
+        _has_cred, pair_rows, pair_users, pair_passwords = creds
         src_parts.append(src)
         vpos_parts.append(np.full(length, vpos, dtype=np.int64))
         row_parts.append(np.arange(length, dtype=np.int64))
@@ -757,7 +773,7 @@ def _source_map(view: ShardView, coder: "_ShardCoder") -> _SourcePartial:
         fp_parts.append(coder.fp_lookup()[payload_codes])
         pcode_parts.append(payload_codes)
         stripped_parts.append(coder.stripped_lookup()[payload_codes])
-        mal_parts.append(coder.malicious_flags(ports, payload_codes, has_cred))
+        mal_parts.append(coder.malicious_rows(table))
         if pair_rows.size:
             cred_src_parts.append(src[pair_rows])
             cred_user_parts.append(pair_users)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.analysis.blocklists import build_blocklist
 from repro.analysis.dataset import AnalysisDataset
 
 __all__ = ["GroupCoverage", "group_coverage", "GreedyStep", "greedy_deployment"]
@@ -46,16 +47,10 @@ def _attacker_sets(
     dataset: AnalysisDataset, vantage_prefix: Optional[str]
 ) -> dict[tuple[str, str], set[int]]:
     """Malicious source IPs per (network, region) group."""
-    groups = dataset.neighborhoods(vantage_prefix=vantage_prefix)
-    sets: dict[tuple[str, str], set[int]] = {}
-    for key, vantages in groups.items():
-        attackers: set[int] = set()
-        for vantage in vantages:
-            for event in dataset.events_for(vantage.vantage_id):
-                if dataset.is_malicious(event):
-                    attackers.add(event.src_ip)
-        sets[key] = attackers
-    return sets
+    return {
+        key: build_blocklist(dataset, vantages)
+        for key, vantages in dataset.neighborhoods(vantage_prefix=vantage_prefix).items()
+    }
 
 
 def group_coverage(

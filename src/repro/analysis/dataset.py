@@ -3,15 +3,15 @@
 :class:`AnalysisDataset` is the boundary between measurement and
 analysis: it holds only what the apparatus recorded (honeypot events, the
 aggregated telescope dataset, the deployment geometry) and derives the
-quantities the paper's tables are built from — per-vantage characteristic
-counters, protocol slices, maliciousness labels, and reputation.
+quantities the paper's tables are built from — the contingency engine's
+per-vantage characteristic counts, source-IP sets, and reputation.
 
 It deliberately has no access to the simulator's ground truth.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -20,11 +20,9 @@ import numpy as np
 from repro.deployment.fleet import LeakExperiment
 from repro.detection.classify import MaliciousnessClassifier, ReputationOracle
 from repro.detection.engine import RuleEngine
-from repro.detection.fingerprint import fingerprint
 from repro.honeypots.base import VantagePoint
 from repro.honeypots.telescope import TelescopeCapture
 from repro.io.table import EventTable
-from repro.scanners.payloads import strip_ephemeral_headers
 from repro.sim.clock import ObservationWindow
 from repro.sim.engine import SimulationResult
 from repro.sim.events import CapturedEvent, NetworkKind
@@ -70,9 +68,11 @@ class AnalysisDataset:
     Backed by per-vantage columnar :class:`~repro.io.table.EventTable`
     objects (``tables``, in vantage order): the zero-copy path out of the
     simulator, or :meth:`from_events` for row records such as a reloaded
-    NDJSON release.  Set/count queries run on numpy columns directly;
-    row objects are materialized lazily per vantage for the analyses that
-    still iterate events.
+    NDJSON release.  Every query runs on numpy columns; per-event
+    fingerprint and maliciousness verdicts come from the dataset's one
+    shared coder (:func:`~repro.analysis.contingency_engine.dataset_coder`),
+    which decides each once per distinct payload (maliciousness: per
+    distinct payload, port and login flag).
     """
 
     def __init__(
@@ -95,7 +95,6 @@ class AnalysisDataset:
             if shard_tables is not None else None
         )
         self.map_workers = int(map_workers)
-        self._events: Optional[list[CapturedEvent]] = None
         self.vantages: list[VantagePoint] = list(vantages)
         self.window = window
         self.telescope = telescope
@@ -103,8 +102,6 @@ class AnalysisDataset:
         self.classifier = MaliciousnessClassifier(rule_engine)
 
         self._vantage_by_id = {vantage.vantage_id: vantage for vantage in self.vantages}
-        self._fingerprint_cache: dict[bytes, Optional[str]] = {}
-        self._malicious_cache: dict[tuple[bytes, int, bool], bool] = {}
         self._oracle: Optional[ReputationOracle] = None
         self._contingency = None
         self._source_aggregates = None
@@ -156,21 +153,6 @@ class AnalysisDataset:
         return cls(tables=tables, vantages=vantages, window=window, **kwargs)
 
     # ------------------------------------------------------------------
-    # row view
-    # ------------------------------------------------------------------
-
-    @property
-    def events(self) -> list[CapturedEvent]:
-        """All honeypot events as row objects, vantage-major (read-only,
-        materialized lazily)."""
-        if self._events is None:
-            rows: list[CapturedEvent] = []
-            for table in self.tables.values():
-                rows.extend(table.materialize())
-            self._events = rows
-        return self._events
-
-    # ------------------------------------------------------------------
     # columnar contingency engine
     # ------------------------------------------------------------------
 
@@ -202,62 +184,29 @@ class AnalysisDataset:
         return self._source_aggregates
 
     # ------------------------------------------------------------------
-    # event-level classification
+    # reputation
     # ------------------------------------------------------------------
 
-    def fingerprint_of(self, event: CapturedEvent) -> Optional[str]:
-        """Fingerprinted application protocol of the event's payload."""
-        payload = event.payload
-        if payload not in self._fingerprint_cache:
-            self._fingerprint_cache[payload] = fingerprint(payload)
-        return self._fingerprint_cache[payload]
-
-    def is_malicious(self, event: CapturedEvent) -> bool:
-        """Section 3.2 maliciousness, memoized per distinct payload."""
-        key = (event.payload, event.dst_port, event.attempted_login)
-        cached = self._malicious_cache.get(key)
-        if cached is None:
-            cached = self.classifier.is_malicious(event)
-            self._malicious_cache[key] = cached
-        return cached
-
     def reputation_oracle(self) -> ReputationOracle:
-        """GreyNoise-style actor reputation over the whole dataset."""
+        """GreyNoise-style actor reputation over the whole dataset.
+
+        Fed straight from columns: the same state as ``observe_all``
+        over every event, vantage-major in row order."""
         if self._oracle is None:
+            from repro.analysis.contingency_engine import dataset_coder
+
+            coder = dataset_coder(self)
             oracle = ReputationOracle(classifier=self.classifier)
-            self._observe_columns(oracle)
+            for table in self.tables.values():
+                if len(table) == 0:
+                    continue
+                src_ips = table.src_ip
+                oracle._seen_ips.update(zip(src_ips.tolist(), table.src_asn.tolist()))
+                oracle._malicious_ips.update(
+                    np.unique(src_ips[coder.malicious_rows(table)]).tolist()
+                )
             self._oracle = oracle
         return self._oracle
-
-    def _observe_columns(self, oracle: ReputationOracle) -> None:
-        """Feed the oracle straight from columns — same observation order
-        as ``observe_all(self.events)`` (vantage-major, row order), without
-        materializing row objects."""
-        seen = oracle._seen_ips
-        malicious = oracle._malicious_ips
-        cache = self._malicious_cache
-        classify = self.classifier.is_malicious_parts
-        for table in self.tables.values():
-            if len(table) == 0:
-                continue
-            src_ips = table.src_ip.tolist()
-            src_asns = table.src_asn.tolist()
-            dst_ports = table.dst_port.tolist()
-            payloads = table.payloads
-            credentials = table.credentials
-            for index, src_ip in enumerate(src_ips):
-                seen[src_ip] = src_asns[index]
-                if src_ip in malicious:
-                    continue
-                payload = payloads[index]
-                attempted = bool(credentials[index])
-                key = (payload, dst_ports[index], attempted)
-                verdict = cache.get(key)
-                if verdict is None:
-                    verdict = classify(payload, dst_ports[index], attempted)
-                    cache[key] = verdict
-                if verdict:
-                    malicious.add(src_ip)
 
     # ------------------------------------------------------------------
     # grouping
@@ -265,10 +214,6 @@ class AnalysisDataset:
 
     def vantage(self, vantage_id: str) -> VantagePoint:
         return self._vantage_by_id[vantage_id]
-
-    def events_for(self, vantage_id: str) -> list[CapturedEvent]:
-        table = self.tables.get(vantage_id)
-        return table.materialize() if table is not None else []
 
     def vantages_in(
         self,
@@ -305,91 +250,6 @@ class AnalysisDataset:
             groups[(vantage.network, vantage.region_code)].append(vantage)
         return dict(groups)
 
-    def events_for_group(self, vantages: Sequence[VantagePoint]) -> list[CapturedEvent]:
-        events: list[CapturedEvent] = []
-        for vantage in vantages:
-            events.extend(self.events_for(vantage.vantage_id))
-        return events
-
-    # ------------------------------------------------------------------
-    # slicing
-    # ------------------------------------------------------------------
-
-    def slice_events(
-        self, events: Iterable[CapturedEvent], traffic_slice: TrafficSlice
-    ) -> list[CapturedEvent]:
-        """Restrict events to one protocol/port slice."""
-        selected: list[CapturedEvent] = []
-        for event in events:
-            if traffic_slice.port is not None and event.dst_port != traffic_slice.port:
-                continue
-            if traffic_slice.protocol is not None:
-                if self.fingerprint_of(event) != traffic_slice.protocol:
-                    continue
-            selected.append(event)
-        return selected
-
-    # ------------------------------------------------------------------
-    # characteristic counters (the rows of Tables 2, 4, 5, 7)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def as_counter(events: Iterable[CapturedEvent]) -> Counter:
-        """Traffic counts per source AS (the "who")."""
-        counts: Counter = Counter()
-        for event in events:
-            counts[event.src_asn] += 1
-        return counts
-
-    @staticmethod
-    def username_counter(events: Iterable[CapturedEvent]) -> Counter:
-        counts: Counter = Counter()
-        for event in events:
-            for username, _password in event.credentials:
-                counts[username] += 1
-        return counts
-
-    @staticmethod
-    def password_counter(events: Iterable[CapturedEvent]) -> Counter:
-        counts: Counter = Counter()
-        for event in events:
-            for _username, password in event.credentials:
-                counts[password] += 1
-        return counts
-
-    def payload_counter(self, events: Iterable[CapturedEvent]) -> Counter:
-        """Distinct-payload traffic counts, ephemeral headers stripped."""
-        counts: Counter = Counter()
-        for event in events:
-            if event.payload:
-                counts[strip_ephemeral_headers(event.payload)] += 1
-        return counts
-
-    def malicious_fraction(self, events: Iterable[CapturedEvent]) -> tuple[int, int]:
-        """(malicious, total) event counts for fraction comparisons."""
-        malicious = 0
-        total = 0
-        for event in events:
-            total += 1
-            if self.is_malicious(event):
-                malicious += 1
-        return malicious, total
-
-    def characteristic_counter(
-        self, events: Sequence[CapturedEvent], characteristic: str
-    ) -> Counter:
-        """Dispatch by characteristic name: 'as', 'username', 'password',
-        'payload'."""
-        if characteristic == "as":
-            return self.as_counter(events)
-        if characteristic == "username":
-            return self.username_counter(events)
-        if characteristic == "password":
-            return self.password_counter(events)
-        if characteristic == "payload":
-            return self.payload_counter(events)
-        raise ValueError(f"unknown characteristic {characteristic!r}")
-
     # ------------------------------------------------------------------
     # source-IP sets (Tables 8/9)
     # ------------------------------------------------------------------
@@ -407,29 +267,15 @@ class AnalysisDataset:
 
     def malicious_sources_on_port(self, port: int, kind: NetworkKind) -> set[int]:
         """Source IPs that sent *malicious* traffic on ``port``/``kind``."""
+        from repro.analysis.contingency_engine import dataset_coder
+
+        coder = dataset_coder(self)
         sources: set[int] = set()
-        cache = self._malicious_cache
-        classify = self.classifier.is_malicious_parts
         for table in self.tables.values():
             if table.network_kind != kind or len(table) == 0:
                 continue
-            matching = np.flatnonzero(table.dst_port == port)
-            if len(matching) == 0:
-                continue
-            src_ips = table.src_ip
-            payloads = table.payloads
-            credentials = table.credentials
-            for index in matching.tolist():
-                src_ip = int(src_ips[index])
-                if src_ip in sources:
-                    continue
-                payload = payloads[index]
-                attempted = bool(credentials[index])
-                key = (payload, port, attempted)
-                verdict = cache.get(key)
-                if verdict is None:
-                    verdict = classify(payload, port, attempted)
-                    cache[key] = verdict
-                if verdict:
-                    sources.add(src_ip)
+            mask = table.dst_port == port
+            if mask.any():
+                mask &= coder.malicious_rows(table)
+                sources.update(np.unique(table.src_ip[mask]).tolist())
         return sources

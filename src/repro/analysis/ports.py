@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.analysis.dataset import AnalysisDataset
 from repro.detection.classify import Reputation
 
@@ -55,12 +57,10 @@ def _first_protocol_by_source(
     position, row)`` and the reduce keeps the minimum — exactly the
     first matching event in merged row order.
     """
-    from repro.detection.fingerprint import fingerprint as _fingerprint
+    from repro.analysis.contingency_engine import dataset_coder
     from repro.experiments.base import run_shard_wise
 
-    import numpy as np
-
-    fingerprint_cache = dataset._fingerprint_cache
+    coder = dataset_coder(dataset)
 
     def map_shard(view):
         partial: dict[int, dict[int, tuple[tuple[int, int, int], str]]] = {
@@ -70,28 +70,27 @@ def _first_protocol_by_source(
             if not vantage_id.startswith(_HONEYTRAP_PREFIX) or len(table) == 0:
                 continue
             vantage_pos = view.order[vantage_id]
+            payload_codes, _creds = coder.coded(table)
+            event_fp = coder.fp_lookup()[payload_codes]
+            identified = event_fp != coder.fp_codes.get(None, -1)
             dst_port = table.dst_port
+            src_ips = table.src_ip
             for port in ports:
-                matching = np.flatnonzero(dst_port == port)
+                matching = np.flatnonzero((dst_port == port) & identified)
                 if len(matching) == 0:
                     continue
-                payloads = table.payloads
-                src_ips = table.src_ip
-                first = partial[port]
-                for row in matching.tolist():
-                    payload = payloads[row]
-                    if payload in fingerprint_cache:
-                        identified = fingerprint_cache[payload]
-                    else:
-                        identified = _fingerprint(payload)
-                        fingerprint_cache[payload] = identified
-                    if identified is None:
-                        continue
-                    src_ip = int(src_ips[row])
-                    # Rows iterate ascending, so within this shard the
-                    # first hit wins without comparing keys.
-                    if src_ip not in first:
-                        first[src_ip] = ((vantage_pos, view.index, row), identified)
+                # A source's first identified row in this shard; the
+                # cross-shard order is settled in the reduce.
+                sources, first = np.unique(src_ips[matching], return_index=True)
+                order = np.argsort(first, kind="stable")
+                rows = matching[first[order]]
+                first_seen = partial[port]
+                for src_ip, row, code in zip(
+                    sources[order].tolist(), rows.tolist(), event_fp[rows].tolist()
+                ):
+                    first_seen.setdefault(
+                        src_ip, ((vantage_pos, view.index, row), coder.fp_values[code])
+                    )
         return partial
 
     def reduce(partials):
@@ -201,16 +200,10 @@ def _methodology_counts(dataset: AnalysisDataset):
     position, row)`` sort keys and the reduce keeps the minimum, which
     is the first occurrence in merged row order.
     """
-    import numpy as np
-
+    from repro.analysis.contingency_engine import dataset_coder
     from repro.experiments.base import run_shard_wise
-    from repro.scanners.payloads import strip_ephemeral_headers
 
-    fingerprint_cache = dataset._fingerprint_cache
-    malicious_cache = dataset._malicious_cache
-    classify = dataset.classifier.is_malicious_parts
-
-    from repro.detection.fingerprint import fingerprint as _fingerprint
+    coder = dataset_coder(dataset)
 
     def map_shard(view):
         counts = [0, 0, 0, 0, 0, 0]
@@ -220,47 +213,30 @@ def _methodology_counts(dataset: AnalysisDataset):
                 continue
             vantage_pos = view.order[vantage_id]
             dst_port = table.dst_port
+            payload_codes, (has_cred, *_pairs) = coder.coded(table)
             if vantage_id.startswith("gn-"):
                 handshake = table.handshake
                 for port, slot in ((23, 0), (22, 2)):
-                    matching = np.flatnonzero((dst_port == port) & handshake)
-                    if len(matching) == 0:
-                        continue
-                    counts[slot] += len(matching)
-                    credentials = table.credentials
-                    counts[slot + 1] += sum(
-                        1 for row in matching.tolist() if credentials[row]
-                    )
-            matching = np.flatnonzero(dst_port == 80)
+                    sessions = (dst_port == port) & handshake
+                    counts[slot] += int(sessions.sum())
+                    counts[slot + 1] += int((sessions & has_cred).sum())
+            stripped = coder.stripped_lookup()[payload_codes]
+            http = coder.fp_lookup()[payload_codes] == coder.fp_codes.get("http", -1)
+            matching = np.flatnonzero((dst_port == 80) & http & (stripped >= 0))
             if len(matching) == 0:
                 continue
-            payloads = table.payloads
-            credentials = table.credentials
-            for row in matching.tolist():
-                payload = payloads[row]
-                if not payload:
-                    continue
-                if payload in fingerprint_cache:
-                    identified = fingerprint_cache[payload]
-                else:
-                    identified = _fingerprint(payload)
-                    fingerprint_cache[payload] = identified
-                if identified != "http":
-                    continue
-                counts[4] += 1
-                attempted = bool(credentials[row])
-                key = (payload, 80, attempted)
-                malicious = malicious_cache.get(key)
-                if malicious is None:
-                    malicious = classify(payload, 80, attempted)
-                    malicious_cache[key] = malicious
-                if malicious:
-                    counts[5] += 1
-                stripped = strip_ephemeral_headers(payload)
-                if stripped not in distinct:
-                    # Ascending rows: first hit in this shard wins here;
-                    # cross-shard order is settled in the reduce.
-                    distinct[stripped] = ((vantage_pos, view.index, row), malicious)
+            malicious = coder.malicious_rows(table)[matching]
+            counts[4] += len(matching)
+            counts[5] += int(malicious.sum())
+            # Each distinct stripped payload's first row in this shard;
+            # cross-shard order is settled in the reduce.
+            _codes, first = np.unique(stripped[matching], return_index=True)
+            for index in np.sort(first).tolist():
+                row = int(matching[index])
+                distinct.setdefault(
+                    coder.stripped_values[stripped[row]],
+                    ((vantage_pos, view.index, row), bool(malicious[index])),
+                )
         return counts, distinct
 
     def reduce(partials):

@@ -6,8 +6,8 @@ the "collection method" (Table 1): which ports are observed, whether the
 L4 handshake completes, whether payloads are recorded, and whether
 interactive logins are emulated.
 
-The analysis pipeline only ever sees the :class:`CapturedEvent` records a
-stack chooses to emit — the stack is the epistemic boundary between what
+The analysis pipeline only ever sees the event-table rows a stack
+chooses to record — the stack is the epistemic boundary between what
 attackers *did* and what researchers *know*.
 """
 
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.io.table import EventTable
-from repro.sim.events import CapturedEvent, IntentBatch, NetworkKind
+from repro.sim.events import IntentBatch, NetworkKind
 
 __all__ = ["CaptureStack", "VantagePoint", "VantageCapture"]
 
@@ -104,20 +104,14 @@ class VantagePoint:
 class VantageCapture:
     """The event dataset recorded at one vantage point.
 
-    Events live in a columnar :class:`~repro.io.table.EventTable`; the
-    ``events`` property materializes (and caches) row objects for
-    consumers that still iterate, while column-oriented analyses read
-    ``capture.table`` directly.
+    Events live in a columnar :class:`~repro.io.table.EventTable`
+    (``capture.table``); analyses read its columns, and only export
+    turns them into row records (``table.iter_events()``).
     """
 
     def __init__(self, vantage: VantagePoint) -> None:
         self.vantage = vantage
         self.table = EventTable.for_vantage(vantage)
-
-    @property
-    def events(self) -> list[CapturedEvent]:
-        """Row-object view of the table (built lazily, cached)."""
-        return self.table.materialize()
 
     def record_batch(self, batch: IntentBatch, src_asns: np.ndarray) -> int:
         """Run a whole intent batch through the stack; returns rows kept."""

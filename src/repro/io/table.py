@@ -15,11 +15,10 @@ Design points:
   references in a chunk list, so it is O(1) regardless of batch size.
   Columns are consolidated into single contiguous arrays lazily, on
   first access.
-* **Lazy row materialization** — analyses that still iterate rows call
-  :meth:`materialize` (or the ``events`` property of
-  :class:`~repro.honeypots.base.VantageCapture`), which builds the
-  ``CapturedEvent`` list once and caches it.  Group-by/count analyses
-  use the column accessors directly and never pay for row objects.
+* **Columns only, rows on export** — every analysis reads the column
+  accessors; :meth:`iter_events` is the one row producer, yielding
+  uncached ``CapturedEvent`` records for NDJSON export
+  (:meth:`~repro.sim.engine.SimulationResult.events`).
 * **Row records** — :meth:`append_event` appends one
   :class:`CapturedEvent` (live honeypots, reloaded NDJSON releases via
   ``AnalysisDataset.from_events``, and tests).
@@ -104,7 +103,6 @@ class EventTable:
         self._chunks: list[tuple[dict, int, int]] = []
         self._length = 0
         self._columns: Optional[dict[str, np.ndarray]] = None
-        self._rows: Optional[list[CapturedEvent]] = None
         self._hook: Optional[Callable[["EventTable", dict, int, int], None]] = None
 
     def set_append_hook(
@@ -188,7 +186,6 @@ class EventTable:
 
     def _invalidate(self) -> None:
         self._columns = None
-        self._rows = None
 
     def append_event(self, event: CapturedEvent) -> None:
         """Append one row record (live capture, reloaded releases, tests)."""
@@ -389,17 +386,11 @@ class EventTable:
         return self._consolidate_column("commands")
 
     # ------------------------------------------------------------------
-    # row materialization
+    # row records
     # ------------------------------------------------------------------
 
-    def materialize(self) -> list[CapturedEvent]:
-        """Build (and cache) the row-object view of the table."""
-        if self._rows is None:
-            self._rows = list(self.iter_events())
-        return self._rows
-
     def iter_events(self) -> Iterator[CapturedEvent]:
-        """Yield row records without caching them."""
+        """Yield row records without caching them (NDJSON export)."""
         columns = self._consolidate()
         vantage_id, network = self.vantage_id, self.network
         kind, region = self.network_kind, self.region

@@ -16,7 +16,7 @@ DET001    no wall clock in result paths
 DET002    directory enumeration wrapped in ``sorted(...)``
 DET003    no set iteration in reduce/merge/map_shard functions
 LCK001    analyzer/sketch reads under the ingest lock
-COL001    ``map_shard``/contingency paths stay columnar
+COL001    analyses, calibration checks and ``map_shard`` mappers stay columnar
 EXC001    no bare ``except:``
 EXC002    swallowed exceptions in worker paths are accounted
 ERR001    file failed to parse (the syntax gate)

@@ -2,10 +2,10 @@
 
 The PR 6/7 performance wins (zero-copy shard merge, one-pass
 contingency aggregation) hold only while hot aggregation paths stay on
-the struct-of-arrays representation.  A single ``.materialize()`` or
-``.iter_events()`` inside a ``map_shard`` mapper quietly turns an O(1)
-mmap view into a per-event Python object walk — correctness survives,
-the budget does not.
+the struct-of-arrays representation.  A single ``.iter_events()`` inside
+an analysis or a ``map_shard`` mapper quietly turns an O(1) mmap view
+into a per-event Python object walk — correctness survives, the budget
+does not.
 """
 
 from __future__ import annotations
@@ -15,22 +15,14 @@ from typing import Iterator
 
 from repro.lint.findings import Finding, Rule, register
 
-#: EventTable APIs that materialize per-event Python row objects.
-_ROW_APIS = frozenset({"materialize", "iter_events"})
+#: The EventTable API that builds per-event Python row objects.
+_ROW_APIS = frozenset({"iter_events"})
 
-#: Every function in these files is a hot columnar path (the analyses
-#: that run only on event tables, with no row-object fallback).
-_COLUMNAR_FILES = (
-    "repro/analysis/contingency_engine.py",
-    "repro/analysis/campaigns.py",
-    "repro/analysis/commands.py",
-    "repro/analysis/leak.py",
-    "repro/analysis/neighborhoods.py",
-    "repro/analysis/overlap.py",
-    "repro/analysis/ports.py",
-    "repro/analysis/tags.py",
-    "repro/analysis/timeseries.py",
-)
+#: Every function under these directories and in these files is a
+#: columnar path: analyses and the calibration checks read event tables
+#: only, with no row-object fallback.
+_COLUMNAR_DIRS = ("repro/analysis/",)
+_COLUMNAR_FILES = ("repro/sim/validation.py",)
 
 
 def _is_map_shard(name: str) -> bool:
@@ -40,12 +32,12 @@ def _is_map_shard(name: str) -> bool:
 @register
 class ColumnarDisciplineRule(Rule):
     code = "COL001"
-    name = "map_shard stays columnar"
+    name = "analyses and mappers stay columnar"
     invariant = (
-        "map_shard mappers and contingency-engine callees aggregate over "
-        "numpy columns; row-materializing APIs (.materialize(), "
-        ".iter_events()) rebuild per-event objects and forfeit the "
-        "columnar speedups the experiment budgets assume."
+        "analyses, calibration checks and map_shard mappers aggregate "
+        "over numpy columns; the row API (.iter_events()) rebuilds "
+        "per-event objects and forfeits the columnar speedups the "
+        "experiment budgets assume."
     )
     dynamic_check = (
         "benchmarks/check_experiment_budget.py (experiment wall-clock "
@@ -53,7 +45,7 @@ class ColumnarDisciplineRule(Rule):
     )
 
     def check(self, module) -> Iterator[Finding]:
-        whole_file = module.matches(*_COLUMNAR_FILES)
+        whole_file = module.in_dir(*_COLUMNAR_DIRS) or module.matches(*_COLUMNAR_FILES)
         for scope in ast.walk(module.tree):
             if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

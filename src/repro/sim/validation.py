@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import islice
+
+import numpy as np
 
 from repro.sim.engine import SimulationResult
 from repro.sim.events import NetworkKind
@@ -93,44 +95,64 @@ def validate_calibration(
             f"{len(leaked_avoiders)} configured avoiders leaked into the telescope",
         )
 
+    tables = [table for table in result.tables().values() if len(table)]
+
     # --- every network kind saw traffic ---
     kind_counts: Counter = Counter()
-    for event in result.events():
-        kind_counts[event.network_kind] += 1
+    for table in tables:
+        kind_counts[table.network_kind] += len(table)
     for kind in (NetworkKind.CLOUD, NetworkKind.EDU):
         report.add(f"coverage-{kind.value}", kind_counts[kind] > 0,
                    f"{kind_counts[kind]} events")
 
     # --- timestamps inside the window ---
     hours = result.window.hours
-    out_of_window = sum(1 for event in result.events()
-                        if not 0.0 <= event.timestamp < hours)
+    out_of_window = sum(
+        int((~((table.timestamps >= 0.0) & (table.timestamps < hours))).sum())
+        for table in tables
+    )
     report.add("timestamps", out_of_window == 0,
                f"{out_of_window} events outside [0, {hours})")
 
     # --- source attribution consistent with the registry ---
+    sample = list(islice(
+        (pair for table in tables
+         for pair in zip(table.src_ip.tolist(), table.src_asn.tolist())),
+        2000,
+    ))
     bad_asn = 0
-    checked = 0
-    for event in result.events():
-        if checked >= 2000:
-            break
-        checked += 1
-        system = result.registry.lookup(event.src_ip)
-        if system is None or system.asn != event.src_asn:
+    for src_ip, src_asn in sample:
+        system = result.registry.lookup(src_ip)
+        if system is None or system.asn != src_asn:
             bad_asn += 1
     report.add("as-attribution", bad_asn == 0,
-               f"{bad_asn}/{checked} sampled events with inconsistent AS attribution")
+               f"{bad_asn}/{len(sample)} sampled events with inconsistent AS attribution")
 
-    # --- malicious ground truth has malicious-looking traffic ---
+    # --- detectability: one verdict per distinct (payload, port, login) ---
     from repro.detection.classify import MaliciousnessClassifier
 
-    classifier = MaliciousnessClassifier()
-    truth_hits = truth_total = 0
-    for event in result.events():
-        if event.src_ip in malicious_truth:
-            truth_total += 1
-            if classifier.is_malicious(event):
-                truth_hits += 1
+    classify = MaliciousnessClassifier().is_malicious_parts
+    verdicts: dict[tuple, bool] = {}
+
+    def verdict(key: tuple) -> bool:
+        found = verdicts.get(key)
+        if found is None:
+            found = verdicts[key] = classify(*key)
+        return found
+
+    truth_array = np.fromiter(malicious_truth, dtype=np.int64, count=len(malicious_truth))
+    truth_hits = truth_total = benign_hits = benign_total = 0
+    for table in tables:
+        keys = zip(table.payloads.tolist(), table.dst_port.tolist(),
+                   (bool(credentials) for credentials in table.credentials.tolist()))
+        flagged = np.fromiter(map(verdict, keys), dtype=bool, count=len(table))
+        truth = np.isin(table.src_ip, truth_array)
+        truth_total += int(truth.sum())
+        truth_hits += int((flagged & truth).sum())
+        benign_total += int((~truth).sum())
+        benign_hits += int((flagged & ~truth).sum())
+
+    # --- malicious ground truth has malicious-looking traffic ---
     detection_rate = truth_hits / truth_total if truth_total else 0.0
     report.add(
         "malicious-detectability",
@@ -140,12 +162,6 @@ def validate_calibration(
     )
 
     # --- benign ground truth rarely triggers detection (false positives) ---
-    benign_hits = benign_total = 0
-    for event in result.events():
-        if event.src_ip not in malicious_truth:
-            benign_total += 1
-            if classifier.is_malicious(event):
-                benign_hits += 1
     false_rate = benign_hits / benign_total if benign_total else 0.0
     report.add(
         "benign-false-positives",

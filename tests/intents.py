@@ -34,4 +34,4 @@ def capture_one(stack, intent: ScanIntent, vantage, src_asn: int) -> Optional[Ca
     """What ``stack`` records for one intent (None when it drops it)."""
     table = EventTable.for_vantage(vantage)
     kept = stack.capture_batch(batch_of(intent), np.asarray([src_asn], dtype=np.int64), table)
-    return table.materialize()[0] if kept else None
+    return next(table.iter_events()) if kept else None

@@ -1,24 +1,32 @@
 """Tests for the AnalysisDataset query layer (on the shared small sim)."""
 
-from collections import Counter
-
+import numpy as np
 import pytest
 
-from repro.analysis.dataset import SLICES, AnalysisDataset, TrafficSlice
+from repro.analysis.dataset import SLICES, AnalysisDataset
+from repro.detection.fingerprint import fingerprint
 from repro.sim.events import NetworkKind
 from tests.golden import table_digests
+
+
+def first_rows(dataset, count):
+    """The first row record of the first ``count`` non-empty vantages."""
+    tables = [table for table in dataset.tables.values() if len(table)][:count]
+    return [next(table.iter_events()) for table in tables]
 
 
 class TestConstruction:
     def test_from_simulation(self, small_context):
         dataset = AnalysisDataset.from_simulation(small_context.result)
-        assert len(dataset.events) == small_context.result.total_events()
+        total = sum(len(table) for table in dataset.tables.values())
+        assert total == small_context.result.total_events()
         assert dataset.telescope is not None
         assert dataset.leak_experiment is not None
 
     def test_events_split_per_vantage(self, dataset):
-        total = sum(len(dataset.events_for(v.vantage_id)) for v in dataset.vantages)
-        assert total == len(dataset.events)
+        assert list(dataset.tables) == [v.vantage_id for v in dataset.vantages]
+        assert all(table.vantage_id == vantage_id
+                   for vantage_id, table in dataset.tables.items())
 
     def test_from_events_matches_simulation_tables(self, small_context):
         """Row records rebuild the simulator's tables: same vantages in
@@ -31,81 +39,107 @@ class TestConstruction:
         assert table_digests(rebuilt.tables) == table_digests(result.tables())
 
     def test_from_events_groups_interleaved_rows_vantage_major(self, dataset):
-        first, second = [v for v in dataset.vantages if dataset.events_for(v.vantage_id)][:2]
-        rows = [dataset.events_for(v.vantage_id)[0] for v in (second, first, second)]
-        rebuilt = AnalysisDataset.from_events(rows, [first, second])
-        assert rebuilt.events == [rows[1], rows[0], rows[2]]
+        first, second = first_rows(dataset, 2)
+        vantages = [dataset.vantage(row.vantage_id) for row in (first, second)]
+        rebuilt = AnalysisDataset.from_events([second, first, second], vantages)
+        rows = [row for table in rebuilt.tables.values() for row in table.iter_events()]
+        assert rows == [first, second, second]
 
     def test_from_events_rejects_unlisted_vantage(self, dataset):
-        row = dataset.events[0]
+        row, = first_rows(dataset, 1)
         others = [v for v in dataset.vantages if v.vantage_id != row.vantage_id]
         with pytest.raises(ValueError, match="unlisted vantage"):
             AnalysisDataset.from_events([row], others)
 
 
+def port_counts(dataset, port):
+    """Per-vantage event counts on one destination port, from columns."""
+    return np.array([int((table.dst_port == port).sum())
+                     for table in dataset.tables.values()])
+
+
+def fingerprint_counts(dataset, port, protocol):
+    """Per-vantage counts of ``port`` events whose payload fingerprints
+    as ``protocol`` — an oracle independent of the engine's coder."""
+    return np.array([
+        sum(1 for payload in table.payloads[table.dst_port == port].tolist()
+            if fingerprint(payload) == protocol)
+        for table in dataset.tables.values()
+    ])
+
+
 class TestSlices:
+    """The engine's slices: SSH/Telnet by port, HTTP by fingerprint."""
+
     def test_slice_definitions(self):
         assert SLICES["ssh22"].port == 22
         assert SLICES["http_all"].port is None
         assert SLICES["http_all"].protocol == "http"
 
     def test_ssh22_slice_is_port_based(self, dataset):
-        events = dataset.slice_events(dataset.events, SLICES["ssh22"])
-        assert events
-        assert all(event.dst_port == 22 for event in events)
+        engine = dataset.contingency()
+        ssh = port_counts(dataset, 22)
+        assert ssh.sum() > 0
+        np.testing.assert_array_equal(engine.events["ssh22"], ssh)
+        np.testing.assert_array_equal(engine.events["telnet23"], port_counts(dataset, 23))
 
     def test_http80_slice_fingerprint_filtered(self, dataset):
-        events = dataset.slice_events(dataset.events, SLICES["http80"])
-        assert events
-        assert all(event.dst_port == 80 for event in events)
-        assert all(dataset.fingerprint_of(event) == "http" for event in events)
+        engine = dataset.contingency()
+        http80 = fingerprint_counts(dataset, 80, "http")
+        assert http80.sum() > 0
+        np.testing.assert_array_equal(engine.events["http80"], http80)
 
     def test_http_all_spans_ports(self, dataset):
-        events = dataset.slice_events(dataset.events, SLICES["http_all"])
-        ports = {event.dst_port for event in events}
-        assert len(ports) > 1
+        engine = dataset.contingency()
+        assert engine.events["http_all"].sum() > engine.events["http80"].sum()
 
     def test_unexpected_protocols_excluded_from_http_slice(self, dataset):
-        port80 = [event for event in dataset.events if event.dst_port == 80]
-        http80 = dataset.slice_events(port80, SLICES["http80"])
-        assert len(http80) < len(port80)  # the ~15% non-HTTP traffic
+        engine = dataset.contingency()
+        # the ~15% non-HTTP traffic on port 80
+        assert engine.events["http80"].sum() < engine.events["port80"].sum()
 
-    def test_custom_slice(self, dataset):
-        tls80 = dataset.slice_events(
-            dataset.events, TrafficSlice("TLS/80", port=80, protocol="tls")
-        )
-        assert tls80
-        assert all(dataset.fingerprint_of(event) == "tls" for event in tls80)
+    def test_tls_on_port80_excluded(self, dataset):
+        engine = dataset.contingency()
+        tls80 = fingerprint_counts(dataset, 80, "tls")
+        assert tls80.sum() > 0
+        assert np.all(engine.events["http80"] + tls80 <= engine.events["port80"])
 
 
 class TestCounters:
-    def test_as_counter(self, dataset):
-        counts = dataset.as_counter(dataset.events[:500])
-        assert sum(counts.values()) == 500
+    """Engine counters over the rows of the first non-empty vantages."""
+
+    @pytest.fixture()
+    def rows(self, dataset):
+        engine = dataset.contingency()
+        return engine.active_rows("any_all", dataset.tables)[:20]
+
+    def test_as_counter(self, dataset, rows):
+        engine = dataset.contingency()
+        counts = engine.counter("any_all", "as", rows)
+        assert sum(counts.values()) == engine.fraction("any_all", rows)[1]
         assert all(isinstance(asn, int) for asn in counts)
 
     def test_username_password_counters(self, dataset):
-        ssh = dataset.slice_events(dataset.events, SLICES["ssh22"])
-        usernames = dataset.username_counter(ssh)
-        passwords = dataset.password_counter(ssh)
+        engine = dataset.contingency()
+        ssh = engine.active_rows("ssh22", dataset.tables)
+        usernames = engine.counter("ssh22", "username", ssh)
+        passwords = engine.counter("ssh22", "password", ssh)
         assert usernames and passwords
         assert "root" in usernames
         assert sum(usernames.values()) == sum(passwords.values())
 
     def test_payload_counter_strips_host(self, dataset):
-        http = dataset.slice_events(dataset.events, SLICES["http80"])[:2000]
-        counts = dataset.payload_counter(http)
+        engine = dataset.contingency()
+        http = engine.active_rows("http80", dataset.tables)
+        counts = engine.counter("http80", "payload", http)
+        assert counts
         assert all(b"Host:" not in payload for payload in counts)
 
-    def test_characteristic_dispatch(self, dataset):
-        events = dataset.events[:100]
-        assert dataset.characteristic_counter(events, "as") == dataset.as_counter(events)
-        with pytest.raises(ValueError):
-            dataset.characteristic_counter(events, "zodiac")
-
-    def test_malicious_fraction_bounds(self, dataset):
-        malicious, total = dataset.malicious_fraction(dataset.events[:2000])
-        assert 0 <= malicious <= total == 2000
+    def test_malicious_fraction_bounds(self, dataset, rows):
+        engine = dataset.contingency()
+        malicious, total = engine.fraction("any_all", rows)
+        assert 0 < malicious <= total
+        assert total == sum(len(dataset.tables[engine.vantage_ids[row]]) for row in rows)
 
 
 class TestGrouping:
@@ -119,11 +153,6 @@ class TestGrouping:
         assert len(aws_sg) == 4
         edu = dataset.vantages_in(kind=NetworkKind.EDU)
         assert all(v.kind is NetworkKind.EDU for v in edu)
-
-    def test_events_for_group(self, dataset):
-        group = dataset.vantages_in(network="aws", region="AP-SG")
-        events = dataset.events_for_group(group)
-        assert len(events) == sum(len(dataset.events_for(v.vantage_id)) for v in group)
 
 
 class TestSourceSets:

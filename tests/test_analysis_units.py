@@ -178,7 +178,8 @@ class TestLeakUnits:
                   payload=http_payload("shodan-get").render())
             for hour in range(168)
         ]
-        boosted = AnalysisDataset.from_events(dataset.events + extra, dataset.vantages,
+        rows = [row for table in dataset.tables.values() for row in table.iter_events()]
+        boosted = AnalysisDataset.from_events(rows + extra, dataset.vantages,
                                               WEEK_2021, leak_experiment=experiment)
         rows = leak_report(boosted)
         shodan_all = next(r for r in rows

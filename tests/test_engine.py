@@ -39,8 +39,8 @@ class TestDeterminism:
         second = run_simulation(tiny_deployment, population, SimulationConfig(seed=5))
         assert first.total_events() == second.total_events()
         for vantage_id in first.captures:
-            a = first.captures[vantage_id].events
-            b = second.captures[vantage_id].events
+            a = list(first.captures[vantage_id].table.iter_events())
+            b = list(second.captures[vantage_id].table.iter_events())
             assert a == b
 
     def test_different_seed_different_traffic(self, tiny_deployment):

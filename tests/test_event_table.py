@@ -72,18 +72,18 @@ def _columns_equal(first: EventTable, second: EventTable) -> None:
 @given(events=st.lists(_events, min_size=1, max_size=20))
 def test_table_roundtrips_through_ndjson(events):
     table = EventTable.from_events(events)
-    assert table.materialize() == events
+    assert list(table.iter_events()) == events
 
     handle, path = tempfile.mkstemp(suffix=".ndjson")
     os.close(handle)
     try:
-        write_events(path, table.materialize())
+        write_events(path, table.iter_events())
         recovered = EventTable.from_events(read_events(path))
     finally:
         os.unlink(path)
 
     _columns_equal(table, recovered)
-    assert recovered.materialize() == events
+    assert list(recovered.iter_events()) == events
 
 
 #: Events batchable in one append_batch call: uniform port and transport.
@@ -133,7 +133,7 @@ def test_append_paths_consolidate_identically(head, tail):
         mixed.append_event(event)
 
     _columns_equal(row_table, mixed)
-    assert mixed.materialize() == events
+    assert list(mixed.iter_events()) == events
     assert len(mixed) == len(events)
     assert mixed.timestamps.dtype == np.float64
     assert mixed.transport_code.dtype == np.int8
@@ -165,7 +165,7 @@ def test_append_view_shares_columns_zero_copy():
     # Scalars broadcast over each view's row range.
     np.testing.assert_array_equal(first.dst_ip, [99, 99])
     assert list(second.payloads) == [b"SSH-2.0-x", b"SSH-2.0-x"]
-    rows = second.materialize()
+    rows = list(second.iter_events())
     assert [event.vantage_id for event in rows] == ["hp-2", "hp-2"]
     assert rows[0].credentials == (("root", "admin"),)
     assert rows[0].transport is Transport.TCP

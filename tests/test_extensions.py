@@ -15,6 +15,7 @@ from repro.detection.fingerprint import fingerprint
 from repro.honeypots.base import VantagePoint
 from repro.honeypots.firewall import FirewalledStack
 from repro.honeypots.honeytrap import HoneytrapStack
+from repro.io.table import TRANSPORT_CODES
 from repro.net.packets import Transport
 from repro.scanners.base import PortPlan, ScannerSpec
 from repro.scanners.payloads import http_payload
@@ -45,10 +46,13 @@ class TestUdpCapture:
         assert fingerprint(event.payload) == "sip"
 
     def test_population_emits_udp_traffic(self, dataset):
-        udp_events = [e for e in dataset.events if e.transport is Transport.UDP]
-        assert udp_events
-        assert all(not event.handshake for event in udp_events)
-        ports = {event.dst_port for event in udp_events}
+        udp_code = TRANSPORT_CODES[Transport.UDP]
+        udp_tables = [(table, table.transport_code == udp_code)
+                      for table in dataset.tables.values() if len(table)]
+        assert any(udp.any() for _table, udp in udp_tables)
+        assert not any(table.handshake[udp].any() for table, udp in udp_tables)
+        ports = {port for table, udp in udp_tables
+                 for port in table.dst_port[udp].tolist()}
         assert {5060, 123} <= ports
 
 

@@ -64,9 +64,12 @@ class TestUdpEngineEnd2End:
         assert 5060 in result.telescope.ports() or 123 in result.telescope.ports()
 
     def test_udp_fingerprintable_at_honeytrap(self, dataset):
-        sip = [e for e in dataset.events if e.dst_port == 5060]
+        from repro.detection.fingerprint import fingerprint
+
+        sip = [payload for table in dataset.tables.values()
+               for payload in table.payloads[table.dst_port == 5060].tolist()]
         assert sip
-        fingerprints = {dataset.fingerprint_of(e) for e in sip if e.payload}
+        fingerprints = {fingerprint(payload) for payload in sip if payload}
         assert "sip" in fingerprints
 
 
@@ -141,7 +144,8 @@ class TestFirewallInDeployment:
                 ]
             result = run_simulation(deployment, population, SimulationConfig(seed=23))
             dataset = AnalysisDataset.from_simulation(result)
-            malicious, total = dataset.malicious_fraction(dataset.events)
+            engine = dataset.contingency()
+            malicious, total = engine.fraction("any_all", range(len(engine.vantage_ids)))
             return malicious / max(total, 1)
 
         assert measure(0.9) < 0.5 * measure(0.0)

@@ -188,28 +188,34 @@ class TestCleanSources:
         assert report.files_scanned == len(CLEAN_SOURCES)
 
 
-#: Analyses that run only on event tables: any function in them is a
-#: columnar path, not just ``map_shard`` mappers.
-TABLE_ONLY_ANALYSES = ("campaigns", "commands", "leak", "neighborhoods",
-                       "overlap", "ports", "tags", "timeseries")
+#: Every analysis module reads event tables only, so any function in
+#: one is a columnar path, not just ``map_shard`` mappers (coverage.py
+#: included: it walked rows until it moved onto the shared coder).
+TABLE_ONLY_ANALYSES = sorted(
+    path.stem for path in (REPO_ROOT / "src" / "repro" / "analysis").glob("*.py")
+)
+
+ROW_WALK = (
+    "def summarize(dataset):\n"
+    "    return [list(table.iter_events()) for table in dataset.tables.values()]\n"
+)
 
 
 class TestColumnarFiles:
     @pytest.mark.parametrize("module", TABLE_ONLY_ANALYSES)
     def test_materialize_anywhere_is_flagged(self, tmp_path, module):
+        """Building row objects anywhere in an analysis is flagged."""
         rel_path = f"repro/analysis/{module}.py"
-        build_tree(tmp_path, {rel_path: (
-            "def summarize(dataset):\n"
-            "    return [table.materialize() for table in dataset.tables.values()]\n"
-        )})
+        build_tree(tmp_path, {rel_path: ROW_WALK})
         report = run_lint(tmp_path)
         assert [(f.code, f.path) for f in report.findings] == [("COL001", rel_path)]
 
-    def test_other_analyses_only_guard_mappers(self, tmp_path):
-        build_tree(tmp_path, {"repro/analysis/coverage.py": (
-            "def summarize(dataset):\n"
-            "    return [table.materialize() for table in dataset.tables.values()]\n"
-        )})
+    def test_calibration_checks_are_flagged(self, tmp_path):
+        build_tree(tmp_path, {"repro/sim/validation.py": ROW_WALK})
+        assert [f.code for f in run_lint(tmp_path).findings] == ["COL001"]
+
+    def test_other_modules_only_guard_mappers(self, tmp_path):
+        build_tree(tmp_path, {"repro/io/records.py": ROW_WALK})
         assert run_lint(tmp_path).findings == []
 
 

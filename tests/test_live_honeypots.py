@@ -334,8 +334,8 @@ class TestLiveAnalysisIntegration:
 
         pot = run(scenario())
         dataset = AnalysisDataset.from_events(pot.events, [live_vantage(pot)], WEEK_2021)
-        malicious, total = dataset.malicious_fraction(dataset.events)
+        engine = dataset.contingency()
+        malicious, total = engine.fraction("any_all", [0])
         assert total == 3
         assert malicious == 2  # exploit + login attempt; benign GET passes
-        protocols = {dataset.fingerprint_of(event) for event in dataset.events}
-        assert "http" in protocols
+        assert engine.events["http_all"][0] == 2  # both HTTP payloads fingerprinted

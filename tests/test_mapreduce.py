@@ -16,6 +16,8 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.analysis.blocklists import regional_blocklist_matrix
+from repro.analysis.coverage import group_coverage
 from repro.analysis.overlap import scanner_overlap
 from repro.analysis.ports import methodology_numbers, protocol_breakdown
 from repro.analysis.summary import vantage_summary
@@ -59,6 +61,19 @@ class TestShardWiseEqualsSingleProcess:
             hourly_matrix(sharded_dataset, vantage_ids),
             hourly_matrix(dataset, vantage_ids),
         )
+
+    def test_regional_blocklist_matrix(self, dataset, sharded_dataset):
+        assert regional_blocklist_matrix(sharded_dataset) == regional_blocklist_matrix(
+            dataset
+        )
+
+    def test_group_coverage(self, dataset, sharded_dataset):
+        assert group_coverage(sharded_dataset) == group_coverage(dataset)
+
+    def test_reputation_counts(self, dataset, sharded_dataset):
+        single = dataset.reputation_oracle().counts()
+        sharded = sharded_dataset.reputation_oracle().counts()
+        assert list(sharded.items()) == list(single.items())
 
     def test_merged_columns_are_memory_mapped(self, sharded_dataset):
         """The lazy merge serves shard parts as mmaps, not copies."""

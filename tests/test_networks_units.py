@@ -100,8 +100,8 @@ class TestTelescopeAsReport:
             np.asarray([4134] * 40),
             np.asarray([5] * 40),
         )
-        dataset = AnalysisDataset.from_events(
-            honeytrap_world.events, honeytrap_world.vantages, WEEK_2021,
+        dataset = AnalysisDataset(
+            honeytrap_world.tables, honeytrap_world.vantages, WEEK_2021,
             telescope=capture,
         )
         cells = {(c.comparison, c.slice_name): c for c in telescope_as_report(dataset)}

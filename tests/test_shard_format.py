@@ -63,7 +63,7 @@ class TestRoundTrip:
         assert set(loaded) == {"hp-1", "hp-2"}
         for vantage_id, table in tables.items():
             restored = loaded[vantage_id]
-            assert restored.materialize() == table.materialize()
+            assert list(restored.iter_events()) == list(table.iter_events())
             np.testing.assert_array_equal(restored.timestamps, table.timestamps)
             assert list(restored.payloads) == list(table.payloads)
             assert list(restored.credentials) == list(table.credentials)

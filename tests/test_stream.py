@@ -193,6 +193,12 @@ class TestTumblingWindows:
         assert windows.rate_per_hour("missing") == 0.0
 
 
+def batch_counter(dataset, vantage_id, characteristic):
+    """One vantage's exact characteristic counts from the batch engine."""
+    engine = dataset.contingency()
+    return engine.counter("any_all", characteristic, [engine.row(vantage_id)])
+
+
 @pytest.fixture(scope="module")
 def streamed_sim():
     """One small tapped simulation + the batch view of the same events."""
@@ -243,9 +249,7 @@ class TestStreamingBatchConsistency:
         analyzer, _bus, _result, dataset = streamed_sim
         for characteristic in CHARACTERISTICS:
             for vantage_id in analyzer.contingency[characteristic].groups():
-                exact = dataset.characteristic_counter(
-                    dataset.events_for(vantage_id), characteristic
-                )
+                exact = batch_counter(dataset, vantage_id, characteristic)
                 assert len(exact) <= CONSISTENCY_K, (characteristic, vantage_id)
 
     def test_top3_and_counts_match_batch_everywhere(self, streamed_sim):
@@ -254,9 +258,7 @@ class TestStreamingBatchConsistency:
         for characteristic in CHARACTERISTICS:
             contingency = analyzer.contingency[characteristic]
             for vantage_id in contingency.groups():
-                exact = dataset.characteristic_counter(
-                    dataset.events_for(vantage_id), characteristic
-                )
+                exact = batch_counter(dataset, vantage_id, characteristic)
                 sketch = contingency.sketch(vantage_id)
                 assert sketch.counts() == {c: float(n) for c, n in exact.items()}
                 assert contingency.top(vantage_id, 3) == top_k(exact, 3)
@@ -272,9 +274,7 @@ class TestStreamingBatchConsistency:
             contingency = analyzer.contingency[characteristic]
             batch_counts = {}
             for vantage_id in contingency.groups():
-                counter = dataset.characteristic_counter(
-                    dataset.events_for(vantage_id), characteristic
-                )
+                counter = batch_counter(dataset, vantage_id, characteristic)
                 batch_counts[vantage_id] = dict(counter)
             if len(batch_counts) < 2:
                 continue

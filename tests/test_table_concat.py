@@ -69,7 +69,7 @@ def test_concat_equals_sequential_append(shards):
     merged = EventTable.concat([_table_of(events) for events in shards])
     flat = _table_of([event for events in shards for event in events])
     _assert_tables_equal(merged, flat)
-    assert merged.materialize() == flat.materialize()
+    assert list(merged.iter_events()) == list(flat.iter_events())
 
 
 @settings(max_examples=15, deadline=None)
@@ -92,7 +92,7 @@ def test_concat_of_all_empty_tables_is_empty():
               for _ in range(3)]
     merged = EventTable.concat(tables)
     assert len(merged) == 0
-    assert merged.materialize() == []
+    assert list(merged.iter_events()) == []
     assert merged.timestamps.shape == (0,)
     assert merged.payloads.shape == (0,)
 
@@ -144,7 +144,7 @@ def test_concat_of_no_tables_is_a_valid_empty_table():
     from every completed shard of a partial run)."""
     merged = EventTable.concat([])
     assert len(merged) == 0
-    assert merged.materialize() == []
+    assert list(merged.iter_events()) == []
     assert merged.timestamps.shape == (0,)
     assert merged.payloads.shape == (0,)
 
