@@ -107,7 +107,6 @@ def run_bench(
     from repro.cli import EXPERIMENT_YEARS
     from repro.deployment.fleet import build_full_deployment
     from repro.experiments import ALL_EXPERIMENTS, ExperimentConfig, ExperimentContext
-    from repro.experiments.context import _WINDOWS
     from repro.scanners.population import PopulationConfig, build_population
     from repro.sim.engine import SimulationConfig, run_simulation
     from repro.sim.rng import RngHub
@@ -183,7 +182,7 @@ def run_bench(
     result = run_simulation(
         deployment,
         population,
-        SimulationConfig(seed=seed, window=_WINDOWS[year]),
+        SimulationConfig(seed=seed, window=config.window()),
     )
     stages["simulation"] = time.perf_counter() - started
     _say(f"simulation ran in {stages['simulation']:.2f}s ({result.total_events():,} events)")
@@ -276,62 +275,54 @@ def run_stream_bench(
     telescope_slash24s: int = 16,
     seed: int = 777,
     year: int = 2021,
-    chunk_events: int = 4096,
     sketch_k: int = 64,
     max_buffered_events: int = 65536,
     artifact: Optional[str] = None,
     quiet: bool = False,
 ) -> dict:
-    """Benchmark sustained ingest through the streaming subsystem.
+    """Benchmark sustained ingest on the production live path.
 
-    Simulates one window (untapped, so simulation cost is excluded),
-    then streams every vantage's consolidated table through a default
-    :class:`~repro.stream.bus.StreamBus` into a full
+    Runs one window untapped (``simulate_seconds``, the bare-simulation
+    reference), then again with ``run_simulation(tap=bus.table_tap())``
+    publishing every engine append into a default
+    :class:`~repro.stream.bus.StreamBus` feeding a full
     :class:`~repro.stream.analyzer.StreamAnalyzer` (sketches + HLLs +
-    windows + leak alarm) in ``chunk_events``-row chunks, timing the
-    ingest alone.  The appended record reports events/s, the peak
-    sketch+window state bytes, and the bus's drop/backpressure counters
-    (zero drops expected at the default queue size).
+    windows + leak alarm).  ``ingest_seconds`` is that tapped run's wall
+    clock, simulation included — exactly what a ``watch --simulate`` or
+    ``serve --simulate`` session pays per window.  The appended record
+    reports events/s over it, the peak sketch+window state bytes, and the
+    bus's chunk, drop and backpressure counters (zero drops expected at
+    the default queue size).
     """
-    from repro.deployment.fleet import build_full_deployment
-    from repro.experiments.context import _WINDOWS
-    from repro.scanners.population import PopulationConfig, build_population
+    from repro.experiments.context import ExperimentConfig, build_inputs
     from repro.sim.engine import SimulationConfig, run_simulation
-    from repro.sim.rng import RngHub
     from repro.stream.analyzer import StreamAnalyzer
     from repro.stream.bus import StreamBus
-    from repro.stream.watch import stream_table
 
     def _say(message: str) -> None:
         if not quiet:
             print(message, flush=True)
 
-    hub = RngHub(seed)
-    deployment = build_full_deployment(hub, num_telescope_slash24s=telescope_slash24s)
-    population = build_population(PopulationConfig(year=year, scale=scale))
-    started = time.perf_counter()
-    result = run_simulation(
-        deployment, population, SimulationConfig(seed=seed, window=_WINDOWS[year])
+    config = ExperimentConfig(
+        year=year, scale=scale, telescope_slash24s=telescope_slash24s, seed=seed
     )
+    deployment, population = build_inputs(config)
+    simulation_config = SimulationConfig(seed=seed, window=config.window())
+    started = time.perf_counter()
+    simulated = run_simulation(deployment, population, simulation_config).total_events()
     simulate_seconds = time.perf_counter() - started
-    tables = result.tables()
-    # Consolidate columns up front so the timed section is pure ingest.
-    for table in tables.values():
-        if len(table):
-            table.timestamps
-    _say(f"simulated {result.total_events():,} events in {simulate_seconds:.2f}s; "
-         f"streaming in {chunk_events}-event chunks ...")
+    _say(f"simulated {simulated:,} events in {simulate_seconds:.2f}s; "
+         f"simulating again with the stream tap attached ...")
 
     bus = StreamBus(max_buffered_events=max_buffered_events)
     analyzer = StreamAnalyzer(
-        hours=_WINDOWS[year].hours,
+        hours=config.window().hours,
         sketch_k=sketch_k,
         leak_experiment=deployment.leak_experiment,
     )
     bus.subscribe(analyzer)
     started = time.perf_counter()
-    for vantage_id in sorted(tables):
-        stream_table(bus, tables[vantage_id], chunk_events)
+    run_simulation(deployment, population, simulation_config, tap=bus.table_tap())
     bus.close()
     ingest_seconds = time.perf_counter() - started
 
@@ -344,9 +335,9 @@ def run_stream_bench(
         "seed": seed,
         "year": year,
         "sketch_k": sketch_k,
-        "chunk_events": chunk_events,
         "max_buffered_events": max_buffered_events,
         "events": events,
+        "simulated_events": simulated,
         "chunks": analyzer.chunks_consumed,
         "vantages": len(analyzer.events_per_vantage),
         "simulate_seconds": round(simulate_seconds, 4),
@@ -358,7 +349,8 @@ def run_stream_bench(
     written = append_record(record, artifact)
     _say(
         f"streamed {events:,} events in {ingest_seconds:.2f}s "
-        f"({record['events_per_second']:,.0f} events/s), "
+        f"({record['events_per_second']:,.0f} events/s over "
+        f"{record['chunks']:,} chunks), "
         f"state ~{record['state_bytes']:,} B, "
         f"{bus.stats.dropped_events} dropped / "
         f"{bus.stats.backpressure_flushes} backpressure flush(es); "
@@ -388,14 +380,11 @@ def run_incident_bench(
     same artifact.
     """
     from repro.analysis.dataset import AnalysisDataset
-    from repro.deployment.fleet import build_full_deployment
     from repro.experiments import ExperimentConfig, ExperimentContext
-    from repro.experiments.context import _WINDOWS
+    from repro.experiments.context import build_inputs
     from repro.experiments.ext_closed_loop import closed_loop_metrics
     from repro.incident.pipeline import detect_incidents
-    from repro.scanners.population import PopulationConfig, build_population
     from repro.sim.engine import SimulationConfig, run_simulation
-    from repro.sim.rng import RngHub
 
     def _say(message: str) -> None:
         if not quiet:
@@ -404,12 +393,10 @@ def run_incident_bench(
     config = ExperimentConfig(
         year=year, scale=scale, telescope_slash24s=telescope_slash24s, seed=seed
     )
-    hub = RngHub(seed)
-    deployment = build_full_deployment(hub, num_telescope_slash24s=telescope_slash24s)
-    population = build_population(PopulationConfig(year=year, scale=scale))
+    deployment, population = build_inputs(config)
     started = time.perf_counter()
     result = run_simulation(
-        deployment, population, SimulationConfig(seed=seed, window=_WINDOWS[year])
+        deployment, population, SimulationConfig(seed=seed, window=config.window())
     )
     simulate_seconds = time.perf_counter() - started
     dataset = AnalysisDataset.from_simulation(result)
@@ -494,15 +481,12 @@ def run_serve_bench(
     import tempfile
     import threading
 
-    from repro.deployment.fleet import build_full_deployment
     from repro.experiments import ExperimentConfig
-    from repro.experiments.context import _WINDOWS
+    from repro.experiments.context import build_inputs
     from repro.runner import orchestrate
-    from repro.scanners.population import PopulationConfig, build_population
     from repro.serve import QueryServer, RunDirBackend, ServeOptions, run_load
     from repro.serve.backends import build_live_pipeline
     from repro.sim.engine import SimulationConfig, run_simulation
-    from repro.sim.rng import RngHub
 
     def _say(message: str) -> None:
         if not quiet:
@@ -513,11 +497,9 @@ def run_serve_bench(
     )
 
     # -- phase 1: live backend queried during ingest -------------------
-    hub = RngHub(seed)
-    deployment = build_full_deployment(hub, num_telescope_slash24s=telescope_slash24s)
-    population = build_population(PopulationConfig(year=year, scale=scale))
+    deployment, population = build_inputs(config)
     bus, analyzer, _tracker, live_backend = build_live_pipeline(
-        _WINDOWS[year].hours, leak_experiment=deployment.leak_experiment
+        config.window().hours, leak_experiment=deployment.leak_experiment
     )
 
     async def _live_phase() -> dict:
@@ -527,7 +509,7 @@ def run_serve_bench(
                     run_simulation(
                         deployment,
                         population,
-                        SimulationConfig(seed=seed, window=_WINDOWS[year]),
+                        SimulationConfig(seed=seed, window=config.window()),
                         tap=bus.table_tap(),
                     ),
                     bus.close(),

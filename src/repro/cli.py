@@ -142,8 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="snapshot every N events (0 = final only; default 25000)")
     watch.add_argument("--max-snapshots", type=int, default=0,
                        help="stop periodic snapshots after N (0 = unlimited)")
-    watch.add_argument("--chunk-events", type=int, default=4096,
-                       help="rows per chunk when streaming stored tables (default 4096)")
     watch.add_argument("--queue-events", type=int, default=65536,
                        help="bus buffer bound in events (default 65536)")
     watch.add_argument("--policy", default="backpressure",
@@ -509,7 +507,6 @@ def _command_watch(args: argparse.Namespace) -> int:
     options = WatchOptions(
         sketch_k=args.sketch_k,
         top_k=args.top_k,
-        chunk_events=args.chunk_events,
         snapshot_events=args.snapshot_events,
         max_snapshots=args.max_snapshots,
         max_buffered_events=args.queue_events,
@@ -520,7 +517,11 @@ def _command_watch(args: argparse.Namespace) -> int:
         format=args.format,
     )
     if args.run_dir:
-        summary = watch_run_dir(args.run_dir, options, follow_seconds=args.follow)
+        try:
+            summary = watch_run_dir(args.run_dir, options, follow_seconds=args.follow)
+        except FileNotFoundError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     elif args.live:
         services = _parse_services(args.port, ["8080=http", "2323=telnet"])
         if services is None:
@@ -613,20 +614,12 @@ def _command_serve(args: argparse.Namespace) -> int:
         config = _sim_config(args)
         if config is None:
             return 2
-        from repro.deployment.fleet import build_full_deployment
-        from repro.experiments.context import _WINDOWS
-        from repro.scanners.population import PopulationConfig, build_population
+        from repro.experiments.context import build_inputs
         from repro.serve.backends import build_live_pipeline
         from repro.sim.engine import SimulationConfig, run_simulation
-        from repro.sim.rng import RngHub
 
-        window = _WINDOWS[config.year]
-        deployment = build_full_deployment(
-            RngHub(config.seed), num_telescope_slash24s=config.telescope_slash24s
-        )
-        population = build_population(
-            PopulationConfig(year=config.year, scale=config.scale)
-        )
+        window = config.window()
+        deployment, population = build_inputs(config)
         bus, _analyzer, _tracker, backend = build_live_pipeline(
             window.hours,
             leak_experiment=deployment.leak_experiment,

@@ -12,6 +12,7 @@ from typing import Optional
 
 from repro.analysis.dataset import AnalysisDataset
 from repro.deployment.fleet import Deployment, build_full_deployment
+from repro.scanners.base import ScannerSpec
 from repro.scanners.population import PopulationConfig, build_population
 from repro.sim.clock import WEEK_2020, WEEK_2021, WEEK_2022, ObservationWindow
 from repro.sim.engine import SimulationConfig, SimulationResult, run_simulation
@@ -20,6 +21,7 @@ from repro.sim.rng import RngHub
 __all__ = [
     "ExperimentConfig",
     "ExperimentContext",
+    "build_inputs",
     "get_context",
     "remember_context",
     "clear_context_cache",
@@ -54,6 +56,20 @@ class ExperimentContext:
 _CACHE: dict[ExperimentConfig, ExperimentContext] = {}
 
 
+def build_inputs(config: ExperimentConfig) -> tuple[Deployment, list[ScannerSpec]]:
+    """The simulation inputs for one configuration: fleet and population.
+
+    Both builds are deterministic per configuration, so every process
+    that rebuilds them (a shard worker, a run-dir reader, a re-simulation)
+    sees exactly the fleet and population the original run used.
+    """
+    deployment = build_full_deployment(
+        RngHub(config.seed), num_telescope_slash24s=config.telescope_slash24s
+    )
+    population = build_population(PopulationConfig(year=config.year, scale=config.scale))
+    return deployment, population
+
+
 def get_context(config: Optional[ExperimentConfig] = None) -> ExperimentContext:
     """Build (or fetch) the simulated dataset for a configuration."""
     config = config or ExperimentConfig()
@@ -61,9 +77,7 @@ def get_context(config: Optional[ExperimentConfig] = None) -> ExperimentContext:
     if cached is not None:
         return cached
 
-    hub = RngHub(config.seed)
-    deployment = build_full_deployment(hub, num_telescope_slash24s=config.telescope_slash24s)
-    population = build_population(PopulationConfig(year=config.year, scale=config.scale))
+    deployment, population = build_inputs(config)
     result = run_simulation(
         deployment,
         population,

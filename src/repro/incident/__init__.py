@@ -16,7 +16,8 @@ runbook-executor shape:
 * :mod:`repro.incident.enforce` — the closed loop's enforcement side: an
   :class:`ActiveBlocklist` the simulation engine applies mid-run;
 * :mod:`repro.incident.pipeline` — the bus subscriber wiring it all
-  together, plus the canonical dataset replay that makes detection
+  together, plus post-hoc detection over the canonical replay
+  (:func:`repro.stream.bus.canonical_chunks`) that makes the audit log
   bit-identical across shard counts.
 
 Everything is event-time only — no wall clocks — so a fixed seed yields
@@ -25,11 +26,7 @@ a bit-identical audit log no matter how the run was sharded.
 
 from repro.incident.enforce import ActiveBlocklist
 from repro.incident.incidents import AuditLog, Incident, IncidentStore
-from repro.incident.pipeline import (
-    IncidentPipeline,
-    canonical_chunks,
-    detect_incidents,
-)
+from repro.incident.pipeline import IncidentPipeline, detect_incidents
 from repro.incident.rules import (
     CampaignOnsetRule,
     CredentialLeakRule,
@@ -55,7 +52,6 @@ __all__ = [
     "RunbookExecutor",
     "Signal",
     "VolumeSpikeRule",
-    "canonical_chunks",
     "default_rules",
     "detect_incidents",
 ]

@@ -1,4 +1,4 @@
-"""Wiring: the bus-attached pipeline and the canonical dataset replay.
+"""Wiring: the bus-attached pipeline and post-hoc detection.
 
 Two ways to run detection:
 
@@ -8,49 +8,31 @@ Two ways to run detection:
   evaluates rules as tumbling hours seal;
 * **post-hoc** — :func:`detect_incidents` replays a merged
   :class:`~repro.analysis.dataset.AnalysisDataset` through a fresh
-  analyzer + pipeline in **canonical order**: hour-major, vantage-minor
-  (sorted ids), original row order within each (vantage, hour) cell.
+  analyzer + pipeline in **canonical order**
+  (:func:`repro.stream.bus.canonical_chunks`: hour-major, vantage-minor,
+  original row order within each (vantage, hour) cell).
 
 The canonical order is the determinism keystone: the orchestrator's
 merged datasets are bit-identical across shard counts, and the replay
 order is a pure function of the merged tables — so the audit log of a
-1-shard, 2-shard and 4-shard run of the same seed is byte-identical.
-
-The replay is cheap: per vantage one stable argsort by hour bin and one
-fancy-index per column, then every (vantage, hour) cell publishes as a
-zero-copy ``[lo, hi)`` slice of the pre-sorted columns.
+1-shard, 2-shard and 4-shard run of the same seed is byte-identical, and
+``watch --run-dir`` (the same replay through the bus) writes it too.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.incident.incidents import AuditLog, IncidentStore
 from repro.incident.rules import IncidentRule, default_rules
 from repro.incident.runbooks import RunbookExecutor
-from repro.stream.bus import StreamChunk
+from repro.stream.bus import StreamChunk, canonical_chunks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dataset import AnalysisDataset
     from repro.stream.analyzer import StreamAnalyzer
 
-__all__ = ["IncidentPipeline", "canonical_chunks", "detect_incidents"]
-
-#: Chunk column name -> EventTable accessor attribute.
-_COLUMN_ACCESSORS = (
-    ("timestamps", "timestamps"),
-    ("src_ip", "src_ip"),
-    ("src_asn", "src_asn"),
-    ("dst_ip", "dst_ip"),
-    ("dst_port", "dst_port"),
-    ("transport_code", "transport_code"),
-    ("handshake", "handshake"),
-    ("payload", "payloads"),
-    ("credentials", "credentials"),
-    ("commands", "commands"),
-)
+__all__ = ["IncidentPipeline", "detect_incidents"]
 
 
 class IncidentPipeline:
@@ -147,37 +129,6 @@ class IncidentPipeline:
             "audit_records": len(self.audit),
             "last_action": last_text,
         }
-
-
-def canonical_chunks(tables: dict, hours: int) -> Iterator[StreamChunk]:
-    """Replay merged per-vantage tables in the canonical stream order.
-
-    Hour-major, then vantage id (sorted), then original table row order
-    — the stable argsort by hour bin preserves intra-hour row order, so
-    the yielded row sequence is a pure function of the merged tables.
-    """
-    hours = int(hours)
-    prepared = []
-    for vantage_id in sorted(tables):
-        table = tables[vantage_id]
-        if len(table) == 0:
-            continue
-        stamps = np.asarray(table.timestamps, dtype=np.float64)
-        # hourly_volumes binning: final bin right-closed, so ts == hours
-        # lands in the last hour.
-        bins = np.minimum(stamps.astype(np.int64), hours - 1)
-        order = np.argsort(bins, kind="stable")
-        columns = {
-            name: np.asarray(getattr(table, accessor))[order]
-            for name, accessor in _COLUMN_ACCESSORS
-        }
-        bounds = np.searchsorted(bins[order], np.arange(hours + 1))
-        prepared.append((table, columns, bounds))
-    for hour in range(hours):
-        for table, columns, bounds in prepared:
-            lo, hi = int(bounds[hour]), int(bounds[hour + 1])
-            if hi > lo:
-                yield StreamChunk.from_table_chunk(table, columns, lo, hi)
 
 
 def detect_incidents(

@@ -28,14 +28,14 @@ from __future__ import annotations
 import json
 import zipfile
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.io.table import EventTable
+from repro.io.table import _OBJECT_COLUMNS, EventTable
 from repro.sim.events import NetworkKind
 
-__all__ = ["ShardBank", "ShardedEventTable", "open_shard"]
+__all__ = ["ShardBank", "ShardedEventTable", "merge_shards", "open_shard"]
 
 
 class _NpzMapper:
@@ -156,7 +156,7 @@ class ShardBank:
     def column(self, name: str) -> np.ndarray:
         array = self._columns.get(name)
         if array is None:
-            if name in self._shards._OBJECT:
+            if name in _OBJECT_COLUMNS:
                 index = self._ensure_mapper().load(f"bank|{name}.idx")
                 pool = self.pool(name)
                 if len(index):
@@ -251,3 +251,25 @@ class ShardedEventTable(EventTable):
         self._chunks.extend(part._chunks)
         self._length += len(part)
         self._invalidate()
+
+
+def merge_shards(
+    shard_tables: Sequence[dict[str, EventTable]], vantages: Iterable
+) -> dict[str, ShardedEventTable]:
+    """Merge per-shard vantage tables into one table per vantage.
+
+    ``shard_tables`` is in shard order; each vantage's parts are added in
+    that order, so contiguous shards reproduce single-process row order.
+    Vantages with no rows in any shard are left out.  No column data is
+    read: the merged tables point into the shards' mapped banks.
+    """
+    merged: dict[str, ShardedEventTable] = {}
+    for vantage in vantages:
+        table = ShardedEventTable.for_vantage(vantage)
+        for shard_pos, tables in enumerate(shard_tables):
+            part = tables.get(vantage.vantage_id)
+            if part is not None and len(part):
+                table.add_part(shard_pos, part)
+        if table.parts:
+            merged[vantage.vantage_id] = table
+    return merged

@@ -61,13 +61,14 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from repro.honeypots.telescope import TelescopeCapture
-from repro.io.table import _DTYPES, EventTable
+from repro.io.table import _DTYPES, _NUMERIC_COLUMNS, _OBJECT_COLUMNS, EventTable
 
 __all__ = [
     "SHARD_FORMAT",
     "shard_dir_name",
     "write_shard",
     "read_manifest",
+    "completed_shards",
     "verify_shard",
     "load_shard_tables",
     "merge_telescope_shard",
@@ -80,10 +81,6 @@ SHARD_FORMAT = "cloudwatching-shard/2"
 _COLUMNS_FILE = "columns.npz"
 _OBJECTS_FILE = "objects.ndjson"
 _MANIFEST_FILE = "manifest.json"
-
-_NUMERIC = ("timestamps", "src_ip", "src_asn", "dst_ip", "dst_port",
-            "transport_code", "handshake")
-_OBJECT = ("payload", "credentials", "commands")
 
 
 def shard_dir_name(shard_index: int) -> str:
@@ -157,7 +154,7 @@ def write_shard(
     total_rows = int(offsets[-1])
 
     arrays: dict[str, np.ndarray] = {"bank|offsets": offsets}
-    for name in _NUMERIC:
+    for name in _NUMERIC_COLUMNS:
         dtype = _DTYPES[name]
         bank = np.empty(total_rows, dtype=dtype)
         position = 0
@@ -172,7 +169,7 @@ def write_shard(
         arrays[f"bank|{name}"] = bank
 
     pools: dict[str, list] = {}
-    for name in _OBJECT:
+    for name in _OBJECT_COLUMNS:
         pool: dict = {}
         index_bank = np.empty(total_rows, dtype=np.int32)
         position = 0
@@ -246,7 +243,7 @@ def write_shard(
         handle.write(json.dumps(
             {"vantages": vantage_records}, separators=(",", ":")
         ) + "\n")
-        for name in _OBJECT:
+        for name in _OBJECT_COLUMNS:
             record = {"pool": name, "values": _encode_pool(name, pools[name])}
             handle.write(json.dumps(record, separators=(",", ":")) + "\n")
 
@@ -287,6 +284,20 @@ def read_manifest(directory: Union[str, Path]) -> Optional[dict]:
     if manifest.get("format") != SHARD_FORMAT:
         return None
     return manifest
+
+
+def completed_shards(run_dir: Union[str, Path]) -> list[tuple[Path, dict]]:
+    """``(directory, manifest)`` of every completed shard, in shard order.
+
+    A shard still being written has no manifest yet and is skipped; a
+    missing ``run_dir`` has no completed shards.
+    """
+    completed = []
+    for directory in sorted(Path(run_dir).glob("shard-*")):
+        manifest = read_manifest(directory) if directory.is_dir() else None
+        if manifest is not None:
+            completed.append((directory, manifest))
+    return completed
 
 
 def verify_shard(

@@ -39,7 +39,7 @@ import numpy as np
 from repro.net.packets import Transport
 from repro.sim.events import CapturedEvent, NetworkKind
 
-__all__ = ["EventTable", "TRANSPORT_CODES", "TRANSPORT_OF_CODE"]
+__all__ = ["CHUNK_COLUMNS", "EventTable", "TRANSPORT_CODES", "TRANSPORT_OF_CODE"]
 
 #: Compact integer encoding of :class:`~repro.net.packets.Transport`.
 TRANSPORT_CODES: dict[Transport, int] = {Transport.TCP: 0, Transport.UDP: 1}
@@ -49,6 +49,9 @@ TRANSPORT_OF_CODE: tuple[Transport, ...] = (Transport.TCP, Transport.UDP)
 _NUMERIC_COLUMNS = ("timestamps", "src_ip", "src_asn", "dst_ip", "dst_port",
                     "transport_code", "handshake")
 _OBJECT_COLUMNS = ("payload", "credentials", "commands")
+#: Every column a chunk carries, by the names :meth:`EventTable.column`,
+#: appended column dicts and stream chunks all share.
+CHUNK_COLUMNS = _NUMERIC_COLUMNS + _OBJECT_COLUMNS
 _DTYPES = {
     "timestamps": np.float64,
     "src_ip": np.int64,
@@ -263,8 +266,8 @@ class EventTable:
     # consolidation + column accessors
     # ------------------------------------------------------------------
 
-    def _consolidate_column(self, name: str) -> np.ndarray:
-        """Consolidate one column, independently of the others.
+    def column(self, name: str) -> np.ndarray:
+        """One column by its chunk name, consolidated independently of the others.
 
         Per-column laziness matters for memory-mapped shards: reading
         ``src_ip`` must not force the object pools to decode.  A single
@@ -325,8 +328,8 @@ class EventTable:
         return array
 
     def _consolidate(self) -> dict[str, np.ndarray]:
-        for name in _NUMERIC_COLUMNS + _OBJECT_COLUMNS:
-            self._consolidate_column(name)
+        for name in CHUNK_COLUMNS:
+            self.column(name)
         return self._columns
 
     def iter_column_runs(self, name: str) -> Iterator[tuple[object, int, int]]:
@@ -347,43 +350,43 @@ class EventTable:
 
     @property
     def timestamps(self) -> np.ndarray:
-        return self._consolidate_column("timestamps")
+        return self.column("timestamps")
 
     @property
     def src_ip(self) -> np.ndarray:
-        return self._consolidate_column("src_ip")
+        return self.column("src_ip")
 
     @property
     def src_asn(self) -> np.ndarray:
-        return self._consolidate_column("src_asn")
+        return self.column("src_asn")
 
     @property
     def dst_ip(self) -> np.ndarray:
-        return self._consolidate_column("dst_ip")
+        return self.column("dst_ip")
 
     @property
     def dst_port(self) -> np.ndarray:
-        return self._consolidate_column("dst_port")
+        return self.column("dst_port")
 
     @property
     def transport_code(self) -> np.ndarray:
-        return self._consolidate_column("transport_code")
+        return self.column("transport_code")
 
     @property
     def handshake(self) -> np.ndarray:
-        return self._consolidate_column("handshake")
+        return self.column("handshake")
 
     @property
     def payloads(self) -> np.ndarray:
-        return self._consolidate_column("payload")
+        return self.column("payload")
 
     @property
     def credentials(self) -> np.ndarray:
-        return self._consolidate_column("credentials")
+        return self.column("credentials")
 
     @property
     def commands(self) -> np.ndarray:
-        return self._consolidate_column("commands")
+        return self.column("commands")
 
     # ------------------------------------------------------------------
     # row records

@@ -15,7 +15,10 @@ the reproduction's equivalent of that operations layer:
   shards whose manifests prove completion (``--resume``), retries
   failures a bounded number of times, degrades to partial coverage, and
   merges the shards back into one :class:`~repro.sim.engine.SimulationResult`
-  that is bit-identical to a single-process run at the same seed.
+  that is bit-identical to a single-process run at the same seed;
+  :func:`~repro.runner.orchestrator.open_run_dir` is the one reader of
+  an output directory's configuration (``run.json``, else a shard
+  manifest) for every later consumer.
 * :mod:`repro.runner.scheduler` — runs experiment drivers over the merged
   dataset on a process pool with a content-addressed result cache keyed
   on (dataset digest, driver id, params).
@@ -24,6 +27,7 @@ the reproduction's equivalent of that operations layer:
 from repro.runner.orchestrator import (
     OrchestratedRun,
     OrchestratorStats,
+    open_run_dir,
     orchestrate,
     resolve_workers,
 )
@@ -33,6 +37,7 @@ from repro.runner.scheduler import ScheduledExperiment, run_experiments
 __all__ = [
     "OrchestratedRun",
     "OrchestratorStats",
+    "open_run_dir",
     "orchestrate",
     "resolve_workers",
     "ShardPlan",

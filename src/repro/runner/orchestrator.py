@@ -40,20 +40,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.experiments.context import ExperimentConfig, ExperimentContext, _WINDOWS
+from repro.experiments.context import ExperimentConfig, ExperimentContext, build_inputs
 from repro.io.shards import (
+    completed_shards,
     load_shard_tables,
     merge_telescope_shard,
     read_manifest,
     shard_dir_name,
     verify_shard,
 )
-from repro.io.lazy import ShardedEventTable
+from repro.io.lazy import merge_shards
 from repro.io.table import EventTable
 from repro.runner.plan import ShardPlan, config_digest, plan_shards
 from repro.runner.worker import build_task, run_shard, set_fork_state
 
-__all__ = ["OrchestratorStats", "OrchestratedRun", "orchestrate", "resolve_workers"]
+__all__ = ["OrchestratorStats", "OrchestratedRun", "open_run_dir", "orchestrate",
+           "resolve_workers"]
 
 #: Top-level run descriptor written into the output directory.
 RUN_FILE = "run.json"
@@ -225,12 +227,9 @@ def orchestrate(
     the run.
     """
     from repro.analysis.dataset import AnalysisDataset
-    from repro.deployment.fleet import build_full_deployment
     from repro.honeypots.base import VantageCapture
     from repro.honeypots.telescope import TelescopeCapture
-    from repro.scanners.population import PopulationConfig, build_population
     from repro.sim.engine import SimulationConfig, SimulationResult, Simulator
-    from repro.sim.rng import RngHub
 
     def say(message: str) -> None:
         if not quiet:
@@ -249,17 +248,13 @@ def orchestrate(
 
     # ---- plan (parent-side deterministic rebuild) ----
     started = time.perf_counter()
-    hub = RngHub(config.seed)
-    deployment = build_full_deployment(
-        hub, num_telescope_slash24s=config.telescope_slash24s
-    )
-    population = build_population(PopulationConfig(year=config.year, scale=config.scale))
+    deployment, population = build_inputs(config)
     digest = config_digest(config, len(population))
     plans: list[ShardPlan] = plan_shards(population, num_shards)
     # Phase-1/2 state (source allocation, engine crawl) is deterministic
     # and identical for every shard: compute it once here, let fork
     # workers inherit it copy-on-write, and reuse it again for the merge.
-    simulation_config = SimulationConfig(seed=config.seed, window=_WINDOWS[config.year])
+    simulation_config = SimulationConfig(seed=config.seed, window=config.window())
     parent = Simulator(deployment, population, simulation_config)
     source_ips = parent._allocate_sources()
     engines = parent._build_engines()
@@ -323,16 +318,12 @@ def orchestrate(
         shard_tables.append(load_shard_tables(shard_path))
         if telescope is not None:
             merge_telescope_shard(telescope, shard_path)
+    merged = merge_shards(shard_tables, deployment.honeypots)
     captures: dict[str, VantageCapture] = {}
     for vantage in deployment.honeypots:
         capture = VantageCapture(vantage)
-        merged = ShardedEventTable.for_vantage(vantage)
-        for shard_pos, tables in enumerate(shard_tables):
-            part = tables.get(vantage.vantage_id)
-            if part is not None and len(part):
-                merged.add_part(shard_pos, part)
-        if merged.parts:
-            capture.table = merged
+        if vantage.vantage_id in merged:
+            capture.table = merged[vantage.vantage_id]
         captures[vantage.vantage_id] = capture
     result = SimulationResult(
         config=simulation_config,
@@ -409,6 +400,40 @@ def orchestrate(
         manifests=manifests,
         failures=failures,
     )
+
+
+def open_run_dir(run_dir: Union[str, Path]):
+    """An orchestrate output's ``(config, deployment, dataset_digest)``.
+
+    ``run.json`` is read first.  The orchestrator writes it last, so a
+    run still in flight (or one whose parent died) has only shard
+    manifests; each carries the run's ``config``, and the digest is then
+    the content address of the completed shards.  With neither, raises
+    :class:`FileNotFoundError` — a fleet rebuilt from default settings
+    would misplace the leak experiment and every alarm built on it.
+
+    The deployment is the deterministic rebuild for the config: vantage
+    identities and leak-experiment geometry, no event data.
+    """
+    run_dir = Path(run_dir)
+    run_file = run_dir / RUN_FILE
+    if run_file.exists():
+        with open(run_file, "r", encoding="utf-8") as handle:
+            record = json.load(handle)
+        config_fields, digest = record["config"], record["dataset_digest"]
+    else:
+        completed = completed_shards(run_dir)
+        if not completed:
+            raise FileNotFoundError(
+                f"no {RUN_FILE} and no completed shards under {run_dir}"
+            )
+        first = completed[0][1]
+        config_fields = first["config"]
+        manifests = {manifest["shard_index"]: manifest for _, manifest in completed}
+        digest = _dataset_digest(first["config_digest"], manifests, {})
+    config = ExperimentConfig(**config_fields)
+    deployment, _population = build_inputs(config)
+    return config, deployment, digest
 
 
 def _dataset_digest(

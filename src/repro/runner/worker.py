@@ -21,7 +21,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.experiments.context import ExperimentConfig, _WINDOWS
+from repro.experiments.context import ExperimentConfig, build_inputs
 from repro.io.shards import shard_dir_name, write_shard
 from repro.runner.plan import config_digest, plan_shards
 
@@ -100,10 +100,7 @@ def run_shard(task: dict) -> dict:
     drift between parent and worker fails loudly instead of silently
     producing a mis-sliced dataset.
     """
-    from repro.deployment.fleet import build_full_deployment
-    from repro.scanners.population import PopulationConfig, build_population
     from repro.sim.engine import SimulationConfig, run_simulation
-    from repro.sim.rng import RngHub
 
     out_dir = Path(task["out_dir"])
     shard_index = int(task["shard_index"])
@@ -121,13 +118,7 @@ def run_shard(task: dict) -> dict:
         source_ips = inherited["source_ips"]
         engines = inherited["engines"]
     else:
-        hub = RngHub(config.seed)
-        deployment = build_full_deployment(
-            hub, num_telescope_slash24s=config.telescope_slash24s
-        )
-        population = build_population(
-            PopulationConfig(year=config.year, scale=config.scale)
-        )
+        deployment, population = build_inputs(config)
 
     digest = config_digest(config, len(population))
     if digest != task["config_digest"]:
@@ -147,7 +138,7 @@ def run_shard(task: dict) -> dict:
     result = run_simulation(
         deployment,
         population,
-        SimulationConfig(seed=config.seed, window=_WINDOWS[config.year]),
+        SimulationConfig(seed=config.seed, window=config.window()),
         spec_slice=(lo, hi),
         source_ips=source_ips,
         engines=engines,

@@ -33,7 +33,6 @@ so a client (and the test suite) can move between them freely:
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from collections import Counter, OrderedDict
 from pathlib import Path
@@ -559,56 +558,29 @@ def build_live_pipeline(
 
 
 def load_run_dir(run_dir: Union[str, Path]):
-    """Open a completed orchestrate output as (config, dataset, digest).
+    """Open an orchestrate output as (config, dataset, digest).
 
-    Reads ``run.json`` for the configuration and dataset digest,
-    deterministically rebuilds the deployment (vantage identities and
-    leak-experiment geometry — no event data comes from it), then maps
-    every completed shard's column banks into per-vantage
+    The configuration and digest come from
+    :func:`~repro.runner.orchestrator.open_run_dir` (``run.json``, else a
+    completed shard's manifest), then every completed shard's column
+    banks map into per-vantage
     :class:`~repro.io.lazy.ShardedEventTable` views.  Nothing beyond the
     shard directories' small NDJSON headers is read until an endpoint
     touches a column.
     """
     from repro.analysis.dataset import AnalysisDataset
-    from repro.deployment.fleet import build_full_deployment
-    from repro.experiments.context import ExperimentConfig, _WINDOWS
-    from repro.io.lazy import ShardedEventTable
-    from repro.io.shards import load_shard_tables, read_manifest
-    from repro.sim.rng import RngHub
+    from repro.io.lazy import merge_shards
+    from repro.io.shards import completed_shards, load_shard_tables
+    from repro.runner.orchestrator import open_run_dir
 
-    run_dir = Path(run_dir)
-    run_file = run_dir / "run.json"
-    if not run_file.exists():
-        raise FileNotFoundError(f"{run_file} not found (not an orchestrate output?)")
-    with open(run_file, "r", encoding="utf-8") as handle:
-        run_record = json.load(handle)
-    config = ExperimentConfig(**run_record.get("config", {}))
-    digest = run_record.get("dataset_digest", "")
-
-    deployment = build_full_deployment(
-        RngHub(config.seed), num_telescope_slash24s=config.telescope_slash24s
-    )
-    shard_tables = []
-    for shard_path in sorted(run_dir.glob("shard-*")):
-        if shard_path.is_dir() and read_manifest(shard_path) is not None:
-            shard_tables.append(load_shard_tables(shard_path))
+    config, deployment, digest = open_run_dir(run_dir)
+    shard_tables = [load_shard_tables(path) for path, _ in completed_shards(run_dir)]
     if not shard_tables:
         raise FileNotFoundError(f"no completed shards under {run_dir}")
-
-    tables = {}
-    for vantage in deployment.honeypots:
-        merged = ShardedEventTable.for_vantage(vantage)
-        for shard_pos, shard in enumerate(shard_tables):
-            part = shard.get(vantage.vantage_id)
-            if part is not None and len(part):
-                merged.add_part(shard_pos, part)
-        if merged.parts:
-            tables[vantage.vantage_id] = merged
-
     dataset = AnalysisDataset(
-        tables=tables,
+        tables=merge_shards(shard_tables, deployment.honeypots),
         vantages=deployment.honeypots,
-        window=_WINDOWS[config.year],
+        window=config.window(),
         leak_experiment=deployment.leak_experiment,
         shard_tables=shard_tables,
     )

@@ -14,6 +14,11 @@ adapters cover the repository's producers:
   (``LiveHoneypot(on_event=bus.event_tap())``): each captured session
   becomes a single-row chunk.
 
+Stored tables (a finished simulation, an orchestrated run's shards) have
+one replay, :func:`canonical_chunks`: hour-major, vantage-minor, the
+order every post-hoc consumer — incident detection, ``watch --run-dir``
+— sees, so their audit logs are byte-identical.
+
 The buffer is bounded in *events*, not chunks.  Two overflow policies:
 
 * ``"backpressure"`` (default) — a publish that would overflow first
@@ -28,18 +33,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, Iterator, Optional, Protocol
 
 import numpy as np
 
 from repro.sim.events import CapturedEvent, NetworkKind
-from repro.io.table import TRANSPORT_CODES
+from repro.io.table import CHUNK_COLUMNS, TRANSPORT_CODES
 
-__all__ = ["StreamChunk", "BusStats", "StreamBus"]
-
-#: Column names every chunk carries (the EventTable chunk schema).
-CHUNK_COLUMNS = ("timestamps", "src_ip", "src_asn", "dst_ip", "dst_port",
-                 "transport_code", "handshake", "payload", "credentials", "commands")
+__all__ = ["StreamChunk", "BusStats", "StreamBus", "CHUNK_COLUMNS", "canonical_chunks"]
 
 
 class StreamChunk:
@@ -114,6 +115,38 @@ class StreamChunk:
             out[:] = [value] * length
             return out
         return np.full(length, value)
+
+
+def canonical_chunks(tables: dict, hours: int) -> Iterator[StreamChunk]:
+    """Replay per-vantage tables in the canonical stream order.
+
+    Hour-major, then vantage id (sorted), then original table row order:
+    the stable argsort by hour bin preserves intra-hour row order, so the
+    yielded row sequence is a pure function of the tables — and merged
+    tables are bit-identical across shard counts, so the replay is too.
+    Per vantage this costs one argsort and one fancy-index per column;
+    every (vantage, hour) cell then publishes as a zero-copy ``[lo, hi)``
+    slice.  Every column resolves before the first chunk is yielded.
+    """
+    hours = int(hours)
+    prepared = []
+    for vantage_id in sorted(tables):
+        table = tables[vantage_id]
+        if len(table) == 0:
+            continue
+        stamps = np.asarray(table.timestamps, dtype=np.float64)
+        # hourly_volumes binning: final bin right-closed, so ts == hours
+        # lands in the last hour.
+        bins = np.minimum(stamps.astype(np.int64), hours - 1)
+        order = np.argsort(bins, kind="stable")
+        columns = {name: np.asarray(table.column(name))[order] for name in CHUNK_COLUMNS}
+        bounds = np.searchsorted(bins[order], np.arange(hours + 1))
+        prepared.append((table, columns, bounds))
+    for hour in range(hours):
+        for table, columns, bounds in prepared:
+            lo, hi = int(bounds[hour]), int(bounds[hour + 1])
+            if hi > lo:
+                yield StreamChunk.from_table_chunk(table, columns, lo, hi)
 
 
 class Consumer(Protocol):  # pragma: no cover - typing aid

@@ -8,7 +8,8 @@ Three attachment modes, all feeding the same
   while it runs (the CI smoke mode: one process, no sockets, real
   streaming cadence);
 * :func:`watch_run_dir` — attach to an ``orchestrate`` spill directory
-  and stream completed shards chunk by chunk, optionally *following*
+  and replay its completed shards in the canonical hour-major order
+  (:func:`~repro.stream.bus.canonical_chunks`), optionally *following*
   the directory while workers are still writing new shards;
 * :func:`watch_live` — attach to a live asyncio honeypot fleet on
   loopback and snapshot on a wall-clock cadence.
@@ -30,10 +31,10 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.stream.analyzer import StreamAnalyzer
-from repro.stream.bus import StreamBus, StreamChunk
+from repro.stream.bus import CHUNK_COLUMNS, StreamBus, StreamChunk, canonical_chunks
 
 __all__ = ["WatchOptions", "SnapshotPrinter", "watch_simulation",
-           "watch_run_dir", "watch_live", "stream_table"]
+           "watch_run_dir", "watch_live"]
 
 #: Times a manifest-bearing but unreadable shard is retried before the
 #: follow loop abandons it (each retry backs off exponentially).
@@ -50,8 +51,6 @@ class WatchOptions:
     sketch_k: int = 64
     #: Categories shown per table (and the §3.3 union k).
     top_k: int = 3
-    #: Rows per published chunk when re-chunking stored tables.
-    chunk_events: int = 4096
     #: Emit a snapshot every N consumed events (0 = only the final one).
     snapshot_events: int = 25000
     #: Stop after this many periodic snapshots (0 = unlimited).
@@ -168,29 +167,6 @@ def _summary(bus: StreamBus, analyzer: StreamAnalyzer, printer: SnapshotPrinter,
     return summary
 
 
-def stream_table(bus: StreamBus, table, chunk_events: int) -> int:
-    """Publish one EventTable's rows as bounded chunks; returns events."""
-    length = len(table)
-    if length == 0:
-        return 0
-    columns = {
-        "timestamps": table.timestamps,
-        "src_ip": table.src_ip,
-        "src_asn": table.src_asn,
-        "dst_ip": table.dst_ip,
-        "dst_port": table.dst_port,
-        "transport_code": table.transport_code,
-        "handshake": table.handshake,
-        "payload": table.payloads,
-        "credentials": table.credentials,
-        "commands": table.commands,
-    }
-    for start in range(0, length, chunk_events):
-        stop = min(start + chunk_events, length)
-        bus.publish(StreamChunk.from_table_chunk(table, columns, start, stop))
-    return length
-
-
 # -- mode 1: tap a running simulation ---------------------------------------
 
 
@@ -200,20 +176,13 @@ def watch_simulation(
     say: Callable[[str], None] = print,
 ) -> dict:
     """Simulate one window with the stream tap attached, snapshotting live."""
-    from repro.deployment.fleet import build_full_deployment
-    from repro.experiments.context import ExperimentConfig, _WINDOWS
-    from repro.scanners.population import PopulationConfig, build_population
+    from repro.experiments.context import ExperimentConfig, build_inputs
     from repro.sim.engine import SimulationConfig, run_simulation
-    from repro.sim.rng import RngHub
 
     config = config or ExperimentConfig()
     options = options or WatchOptions()
-    window = _WINDOWS[config.year]
-    hub = RngHub(config.seed)
-    deployment = build_full_deployment(
-        hub, num_telescope_slash24s=config.telescope_slash24s
-    )
-    population = build_population(PopulationConfig(year=config.year, scale=config.scale))
+    window = config.window()
+    deployment, population = build_inputs(config)
     bus, analyzer, printer = _pipeline(
         window.hours, options, say, leak_experiment=deployment.leak_experiment
     )
@@ -242,45 +211,45 @@ def watch_run_dir(
     follow_seconds: float = 0.0,
     poll_seconds: float = 0.5,
 ) -> dict:
-    """Stream an orchestrated run's spilled shards through the pipeline.
+    """Replay an orchestrated run's spilled shards through the pipeline.
 
-    Completed shards (manifest present) are streamed in shard order;
-    with ``follow_seconds > 0`` the directory is re-polled for newly
-    completed shards until the deadline passes, so the watcher can run
-    alongside a live ``orchestrate``.
+    Each sweep merges the newly completed shards (manifest present) in
+    shard order and publishes them in the canonical hour-major replay,
+    so a watch over a finished run streams exactly what ``respond``
+    replays and writes the same audit log.  With ``follow_seconds > 0``
+    the directory is re-polled for newly completed shards until the
+    deadline passes, so the watcher can run alongside a live
+    ``orchestrate``; a shard completing after the first sweep arrives
+    after its hours have sealed.
     """
-    from repro.deployment.fleet import build_full_deployment
-    from repro.experiments.context import ExperimentConfig, _WINDOWS
-    from repro.io.shards import load_shard_tables, read_manifest
-    from repro.sim.rng import RngHub
+    from repro.io.lazy import merge_shards
+    from repro.io.shards import completed_shards, load_shard_tables
+    from repro.runner.orchestrator import open_run_dir
 
     run_dir = Path(run_dir)
     options = options or WatchOptions()
-    run_file = run_dir / "run.json"
-    config_fields = {}
-    if run_file.exists():
-        with open(run_file, "r", encoding="utf-8") as handle:
-            config_fields = json.load(handle).get("config", {})
-    config = ExperimentConfig(**config_fields) if config_fields else ExperimentConfig()
-    window = _WINDOWS[config.year]
-    # The deployment rebuild is deterministic per seed; it supplies the
-    # leak-experiment geometry the alarms need (no event data is read
-    # from it — everything streamed comes from the shards).
-    deployment = build_full_deployment(
-        RngHub(config.seed), num_telescope_slash24s=config.telescope_slash24s
-    )
+    started = time.perf_counter()
+    deadline = started + max(0.0, follow_seconds)
+    while True:
+        # Follow mode may attach before the first shard has completed.
+        try:
+            config, deployment, _digest = open_run_dir(run_dir)
+            break
+        except FileNotFoundError:
+            if time.perf_counter() >= deadline:
+                raise
+            time.sleep(poll_seconds)
+    hours = config.window().hours
     bus, analyzer, printer = _pipeline(
-        window.hours, options, say, leak_experiment=deployment.leak_experiment
+        hours, options, say, leak_experiment=deployment.leak_experiment
     )
 
     processed: set[str] = set()
     abandoned: set[str] = set()
     attempts: dict[str, int] = {}
     retry_at: dict[str, float] = {}
-    started = time.perf_counter()
-    deadline = started + max(0.0, follow_seconds)
 
-    def _resolve_shard(shard_path: Path) -> dict:
+    def _load(shard_path: Path) -> dict:
         """Load a shard and force every streamed column to resolve.
 
         A shard copied or crashed mid-write can carry a manifest while
@@ -290,23 +259,20 @@ def watch_run_dir(
         """
         tables = load_shard_tables(shard_path)
         for table in tables.values():
-            _ = (table.timestamps, table.src_ip, table.src_asn, table.dst_ip,
-                 table.dst_port, table.transport_code, table.handshake,
-                 table.payloads, table.credentials, table.commands)
+            for name in CHUNK_COLUMNS:
+                table.column(name)
         return tables
 
-    def _sweep() -> int:
-        streamed = 0
-        for shard_path in sorted(run_dir.glob("shard-*")):
+    def _sweep() -> None:
+        fresh = []
+        for shard_path, _manifest in completed_shards(run_dir):
             name = shard_path.name
-            if name in processed or name in abandoned or not shard_path.is_dir():
+            if name in processed or name in abandoned:
                 continue
             if time.perf_counter() < retry_at.get(name, 0.0):
                 continue  # backing off a previously unreadable shard
-            if read_manifest(shard_path) is None:
-                continue  # still being written
             try:
-                tables = _resolve_shard(shard_path)
+                tables = _load(shard_path)
             except (OSError, ValueError, KeyError, EOFError,
                     zipfile.BadZipFile) as error:
                 # Manifest present but banks unreadable: the shard is
@@ -330,9 +296,10 @@ def watch_run_dir(
             processed.add(name)
             say(f"streaming {name} "
                 f"({sum(len(t) for t in tables.values()):,} events)")
-            for vantage_id in sorted(tables):
-                streamed += stream_table(bus, tables[vantage_id], options.chunk_events)
-        return streamed
+            fresh.append(tables)
+        if fresh:
+            for chunk in canonical_chunks(merge_shards(fresh, deployment.honeypots), hours):
+                bus.publish(chunk)
 
     _sweep()
     while time.perf_counter() < deadline:

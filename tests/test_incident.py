@@ -28,7 +28,6 @@ from repro.incident import (
     VolumeSpikeRule,
     detect_incidents,
 )
-from repro.incident.pipeline import canonical_chunks
 from repro.runner import orchestrate
 from repro.serve.backends import RunDirBackend, build_live_pipeline, load_run_dir
 from repro.serve.schema import (
@@ -37,6 +36,7 @@ from repro.serve.schema import (
     SchemaError,
     validate_blocklist_file,
 )
+from repro.stream import canonical_chunks
 
 #: Same tiny-but-real fixed-seed config the serve/watch tests pin.
 TINY = ExperimentConfig(year=2021, scale=0.05, telescope_slash24s=4, seed=5)

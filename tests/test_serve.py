@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.experiments import ExperimentConfig, get_context
-from repro.experiments.context import _WINDOWS
 from repro.runner import orchestrate
 from repro.serve import (
     QueryServer,
@@ -39,6 +38,7 @@ from repro.serve.schema import (
 from repro.stats.topk import top_k, union_table
 from repro.stats.contingency import chi_square_test
 from repro.stats.volume import hourly_volumes
+from repro.stream import canonical_chunks
 
 #: Same fixed-seed tiny-but-real config the watch tests pin.
 TINY = ExperimentConfig(year=2021, scale=0.05, telescope_slash24s=4, seed=5)
@@ -201,7 +201,7 @@ class TestRunDirParity:
     def test_concurrent_clients_match_batch_bit_for_bit(self, run_dir, batch):
         backend = RunDirBackend(run_dir)
         tables = batch.dataset.tables
-        hours = _WINDOWS[TINY.year].hours
+        hours = TINY.window().hours
         busiest = max(tables, key=lambda v: len(tables[v]))
         oracle = batch.dataset.reputation_oracle()
         malicious_ip = min(oracle.malicious_ips())
@@ -278,7 +278,7 @@ class TestRunDirParity:
         from repro.stream.windows import StreamingLeakAlarm
 
         backend = RunDirBackend(run_dir)
-        hours = _WINDOWS[TINY.year].hours
+        hours = TINY.window().hours
         alarm = StreamingLeakAlarm(batch.deployment.leak_experiment, hours)
         watermark = 0.0
         for vantage_id in sorted(batch.dataset.tables):
@@ -406,7 +406,7 @@ class TestLiveBackend:
             RngHub(TINY.seed), num_telescope_slash24s=TINY.telescope_slash24s
         )
         bus, analyzer, tracker, backend = build_live_pipeline(
-            _WINDOWS[TINY.year].hours,
+            TINY.window().hours,
             leak_experiment=deployment.leak_experiment,
         )
         population = build_population(
@@ -421,7 +421,7 @@ class TestLiveBackend:
                             deployment,
                             population,
                             SimulationConfig(seed=TINY.seed,
-                                             window=_WINDOWS[TINY.year]),
+                                             window=TINY.window()),
                             tap=bus.table_tap(),
                         ),
                         bus.close(),
@@ -453,14 +453,12 @@ class TestLiveBackend:
         assert analyzer.events_consumed == batch.result.total_events()
 
     def test_live_answers_are_labeled_estimates(self, batch):
-        from repro.stream.watch import stream_table
-
-        bus, analyzer, tracker, backend = build_live_pipeline(
-            _WINDOWS[TINY.year].hours
-        )
+        hours = TINY.window().hours
+        bus, analyzer, tracker, backend = build_live_pipeline(hours)
         tables = batch.dataset.tables
         busiest = max(tables, key=lambda v: len(tables[v]))
-        stream_table(bus, tables[busiest], 1024)
+        for chunk in canonical_chunks({busiest: tables[busiest]}, hours):
+            bus.publish(chunk)
         bus.close()
 
         body = backend.handle(
@@ -474,13 +472,10 @@ class TestLiveBackend:
         assert stats["reputation"]["tracked_ips"] == len(tracker)
 
     def test_tracker_matches_batch_reputation_for_malicious_ips(self, batch):
-        from repro.stream.watch import stream_table
-
-        bus, _analyzer, tracker, backend = build_live_pipeline(
-            _WINDOWS[TINY.year].hours
-        )
-        for vantage_id in sorted(batch.dataset.tables):
-            stream_table(bus, batch.dataset.tables[vantage_id], 4096)
+        hours = TINY.window().hours
+        bus, _analyzer, tracker, backend = build_live_pipeline(hours)
+        for chunk in canonical_chunks(batch.dataset.tables, hours):
+            bus.publish(chunk)
         bus.close()
 
         oracle = batch.dataset.reputation_oracle()
@@ -495,7 +490,6 @@ class TestLiveBackend:
         from repro.net.packets import Transport
         from repro.serve.backends import ReputationTracker
         from repro.stream.bus import StreamBus
-        from repro.stream.watch import stream_table
 
         tracker = ReputationTracker(capacity=10)
         bus = StreamBus()
@@ -513,7 +507,8 @@ class TestLiveBackend:
             handshake=True,
             payloads=b"",
         )
-        stream_table(bus, table, 16)
+        for chunk in canonical_chunks({"t": table}, TINY.window().hours):
+            bus.publish(chunk)
         bus.close()
         assert len(tracker) == 10
         assert tracker.evicted == 40

@@ -1,6 +1,6 @@
 """The `cloudwatching watch` service end to end: the simulation tap,
-the orchestrate-spill attachment (including ``--workers auto``), and
-the CLI surface.
+the orchestrate-spill attachment (including ``--workers auto``), the
+tap-driven stream bench, and the CLI surface.
 """
 
 from __future__ import annotations
@@ -12,13 +12,33 @@ import time
 
 import pytest
 
+from repro.bench import run_stream_bench
 from repro.cli import main
 from repro.experiments.context import ExperimentConfig
+from repro.incident.pipeline import detect_incidents
 from repro.runner import orchestrate, resolve_workers
-from repro.stream import WatchOptions, watch_run_dir, watch_simulation
+from repro.serve.backends import load_run_dir
+from repro.stream import StreamBus, WatchOptions, watch_run_dir, watch_simulation
 
 #: Tiny but non-degenerate: every attachment mode sees real traffic.
 TINY = ExperimentConfig(year=2021, scale=0.05, telescope_slash24s=4, seed=5)
+
+
+@pytest.fixture(scope="module")
+def pristine_run(tmp_path_factory):
+    """A completed 2-shard TINY run dir and its event total."""
+    out = tmp_path_factory.mktemp("follow") / "run"
+    run = orchestrate(TINY, workers=1, out_dir=out, num_shards=2, quiet=True)
+    assert not run.partial
+    return out, run.context.result.total_events()
+
+
+def _final_snapshot(run_dir) -> str:
+    """The JSON final snapshot a plain (no-follow) watch renders."""
+    said: list[str] = []
+    watch_run_dir(run_dir, options=WatchOptions(snapshot_events=0, format="json"),
+                  say=said.append)
+    return [line for line in said if line.startswith("{")][-1]
 
 
 class TestWatchSimulation:
@@ -61,14 +81,40 @@ class TestWatchRunDir:
         assert record["workers"] == resolve_workers("auto")
 
         said: list[str] = []
-        summary = watch_run_dir(
-            out_dir, options=WatchOptions(chunk_events=512), say=said.append
-        )
+        summary = watch_run_dir(out_dir, options=WatchOptions(), say=said.append)
         assert summary["shards"] == 2
         assert summary["events"] == run.context.result.total_events()
         assert summary["bus"]["dropped_events"] == 0
         assert any("streaming shard-" in line for line in said)
         assert any("stream snapshot" in line for line in said)
+
+    def test_audit_log_is_respond_replay(self, pristine_run, tmp_path):
+        """A completed run streams in the canonical replay: same audit log."""
+        run_dir, total = pristine_run
+        log = tmp_path / "watch-audit.ndjson"
+        summary = watch_run_dir(
+            run_dir, options=WatchOptions(snapshot_events=0, audit_log=str(log)),
+            say=lambda _line: None,
+        )
+        expected = detect_incidents(load_run_dir(run_dir)[1]).audit
+        assert summary["events"] == total
+        assert summary["audit_log"]["digest"] == expected.digest()
+        assert log.read_text(encoding="utf-8") == expected.to_ndjson()
+        assert summary["incidents"]["incidents"] > 0
+
+    def test_config_comes_from_shard_manifest_without_run_json(
+        self, pristine_run, tmp_path
+    ):
+        """``run.json`` is written last; the shard manifests carry the config."""
+        run_dir, _total = pristine_run
+        dest = tmp_path / "run"
+        shutil.copytree(run_dir, dest)
+        (dest / "run.json").rename(tmp_path / "run.json.aside")
+        assert _final_snapshot(dest) == _final_snapshot(run_dir)
+        config, _dataset, digest = load_run_dir(dest)
+        assert config == TINY
+        # A complete run's shards address the same dataset run.json names.
+        assert digest == load_run_dir(run_dir)[2]
 
     def test_missing_run_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -82,13 +128,6 @@ class TestWatchRunDir:
 
 class TestWatchFollowTolerance:
     """Follow mode against shards that are not (yet) fully written."""
-
-    @pytest.fixture(scope="class")
-    def pristine_run(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("follow") / "run"
-        run = orchestrate(TINY, workers=1, out_dir=out, num_shards=2, quiet=True)
-        assert not run.partial
-        return out, run.context.result.total_events()
 
     @staticmethod
     def _copy_with_truncated_shard(pristine, dest):
@@ -124,6 +163,37 @@ class TestWatchFollowTolerance:
         assert any("not readable yet" in line for line in said)
         assert not any("abandoning" in line for line in said)
 
+    def test_attaches_before_the_first_shard_completes(self, pristine_run, tmp_path):
+        """With nothing to read the config from yet, follow mode waits."""
+        pristine, total = pristine_run
+        dest = tmp_path / "run"
+        dest.mkdir()
+
+        def _complete_shards():
+            time.sleep(0.4)
+            for shard in ("shard-0000", "shard-0001"):
+                # Copy aside, then rename: a shard appears complete at once.
+                shutil.copytree(pristine / shard, tmp_path / shard)
+                (tmp_path / shard).rename(dest / shard)
+
+        writer = threading.Thread(target=_complete_shards)
+        writer.start()
+        said: list[str] = []
+        try:
+            summary = watch_run_dir(
+                dest, options=WatchOptions(snapshot_events=0, format="json"),
+                say=said.append, follow_seconds=3.0, poll_seconds=0.1,
+            )
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert summary["shards"] == 2
+        assert summary["events"] == total
+        # Full-window leak alarms do not depend on arrival order, only on
+        # the config the fleet was rebuilt from.
+        final = json.loads([line for line in said if line.startswith("{")][-1])
+        assert final["leak_alarms"] == json.loads(_final_snapshot(pristine))["leak_alarms"]
+
     def test_permanently_damaged_shard_is_abandoned_not_fatal(
         self, pristine_run, tmp_path
     ):
@@ -139,6 +209,33 @@ class TestWatchFollowTolerance:
         assert 0 < summary["events"] < total
         assert any("abandoning shard-0001" in line for line in said)
         assert any("not readable yet" in line for line in said)
+
+
+class TestStreamBench:
+    def test_records_the_tap_path(self, tmp_path, monkeypatch):
+        """Every engine append is one published chunk; nothing is dropped."""
+        appends: list[int] = []
+        table_tap = StreamBus.table_tap
+
+        def counting_tap(bus):
+            tap = table_tap(bus)
+
+            def _tap(table, columns, start, stop):
+                if stop > start:
+                    appends.append(stop - start)
+                tap(table, columns, start, stop)
+            return _tap
+
+        monkeypatch.setattr(StreamBus, "table_tap", counting_tap)
+        record = run_stream_bench(
+            scale=TINY.scale, telescope_slash24s=TINY.telescope_slash24s,
+            seed=TINY.seed, artifact=str(tmp_path / "bench.json"), quiet=True,
+        )
+        assert record["events"] == record["simulated_events"] == sum(appends)
+        assert record["bus"]["published_chunks"] == len(appends)
+        assert record["chunks"] == len(appends)
+        assert record["bus"]["dropped_events"] == 0
+        assert json.loads((tmp_path / "bench.json").read_text())[-1]["kind"] == "stream-bench"
 
 
 class TestResolveWorkers:
@@ -181,6 +278,10 @@ class TestWatchCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "watch done:" in out
+
+    def test_run_dir_without_config_is_an_error(self, tmp_path, capsys):
+        assert main(["watch", "--run-dir", str(tmp_path / "nope")]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_workers_flag_rejects_junk(self, capsys):
         with pytest.raises(SystemExit):
