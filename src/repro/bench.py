@@ -275,8 +275,6 @@ def run_stream_bench(
     telescope_slash24s: int = 16,
     seed: int = 777,
     year: int = 2021,
-    sketch_k: int = 64,
-    max_buffered_events: int = 65536,
     artifact: Optional[str] = None,
     quiet: bool = False,
 ) -> dict:
@@ -284,20 +282,19 @@ def run_stream_bench(
 
     Runs one window untapped (``simulate_seconds``, the bare-simulation
     reference), then again with ``run_simulation(tap=bus.table_tap())``
-    publishing every engine append into a default
-    :class:`~repro.stream.bus.StreamBus` feeding a full
-    :class:`~repro.stream.analyzer.StreamAnalyzer` (sketches + HLLs +
-    windows + leak alarm).  ``ingest_seconds`` is that tapped run's wall
-    clock, simulation included — exactly what a ``watch --simulate`` or
-    ``serve --simulate`` session pays per window.  The appended record
-    reports events/s over it, the peak sketch+window state bytes, and the
-    bus's chunk, drop and backpressure counters (zero drops expected at
-    the default queue size).
+    publishing every engine append into the pipeline ``watch --simulate``
+    runs (:func:`~repro.stream.bus.build_stream`: sketches + HLLs +
+    windows + leak alarm + incident rules).  ``ingest_seconds`` is that
+    tapped run's wall clock, simulation and ``bus.close()`` included —
+    exactly what a ``watch --simulate`` or ``serve --simulate`` session
+    pays per window.  The appended record reports events/s over it, the
+    peak sketch+window state bytes, the bus's chunk, drop and
+    backpressure counters (zero drops expected at the default queue
+    size) and the incident summary.
     """
     from repro.experiments.context import ExperimentConfig, build_inputs
     from repro.sim.engine import SimulationConfig, run_simulation
-    from repro.stream.analyzer import StreamAnalyzer
-    from repro.stream.bus import StreamBus
+    from repro.stream.bus import build_stream
 
     def _say(message: str) -> None:
         if not quiet:
@@ -314,13 +311,9 @@ def run_stream_bench(
     _say(f"simulated {simulated:,} events in {simulate_seconds:.2f}s; "
          f"simulating again with the stream tap attached ...")
 
-    bus = StreamBus(max_buffered_events=max_buffered_events)
-    analyzer = StreamAnalyzer(
-        hours=config.window().hours,
-        sketch_k=sketch_k,
-        leak_experiment=deployment.leak_experiment,
+    bus, analyzer, incidents = build_stream(
+        config.window().hours, deployment.leak_experiment
     )
-    bus.subscribe(analyzer)
     started = time.perf_counter()
     run_simulation(deployment, population, simulation_config, tap=bus.table_tap())
     bus.close()
@@ -334,8 +327,6 @@ def run_stream_bench(
         "telescope_slash24s": telescope_slash24s,
         "seed": seed,
         "year": year,
-        "sketch_k": sketch_k,
-        "max_buffered_events": max_buffered_events,
         "events": events,
         "simulated_events": simulated,
         "chunks": analyzer.chunks_consumed,
@@ -345,6 +336,7 @@ def run_stream_bench(
         "events_per_second": round(events / ingest_seconds, 1) if ingest_seconds else 0.0,
         "state_bytes": analyzer.state_bytes(),
         "bus": bus.stats.as_dict(),
+        "incidents": incidents.summary(),
     }
     written = append_record(record, artifact)
     _say(
@@ -371,7 +363,7 @@ def run_incident_bench(
 
     Times two things over one simulated window: the detection pass alone
     (``detect_incidents`` over the canonical hour-major replay — the cost
-    a ``watch --incidents`` session pays on top of plain ingest) and the
+    a ``watch`` session pays on top of plain ingest) and the
     full X5 closed loop (detection + shard-wise blocked-volume scan +
     static-baseline arm + the enforced re-simulation self-check).  The
     record carries the loop's headline quality numbers — mean detection

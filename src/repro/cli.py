@@ -214,10 +214,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="simulate source: Space-Saving capacity (default 64)")
     serve.add_argument("--queue-events", type=int, default=65536,
                        help="simulate source: bus buffer bound in events (default 65536)")
-    serve.add_argument("--incidents", action="store_true",
-                       help="simulate source: run live incident detection and "
-                            "serve /incidents and /actions (run-dir backends "
-                            "always serve them, computed post hoc)")
+    serve.add_argument("--no-incidents", action="store_true",
+                       help="simulate source: disable live incident detection "
+                            "(on by default; run-dir backends always serve "
+                            "/incidents and /actions, computed post hoc)")
 
     respond = subparsers.add_parser(
         "respond",
@@ -625,7 +625,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             leak_experiment=deployment.leak_experiment,
             sketch_k=args.sketch_k,
             max_buffered_events=args.queue_events,
-            incidents=args.incidents,
+            incidents=not args.no_incidents,
         )
 
         def _ingest() -> None:

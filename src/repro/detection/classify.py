@@ -42,6 +42,16 @@ class Reputation(str, enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
+    @classmethod
+    def label(cls, malicious: bool, asn: Optional[int]) -> "Reputation":
+        """Malicious once any of the IP's events was; else benign when
+        its AS is vetted; else unknown."""
+        if malicious:
+            return cls.MALICIOUS
+        if asn in VETTED_BENIGN_ASES:
+            return cls.BENIGN
+        return cls.UNKNOWN
+
 
 #: Organizations that have "undergone a rigorous vetting process":
 #: Censys, Shodan, and known research/measurement scanning outfits.
@@ -110,12 +120,8 @@ class ReputationOracle:
         return self
 
     def reputation(self, src_ip: int, src_asn: Optional[int] = None) -> Reputation:
-        if src_ip in self._malicious_ips:
-            return Reputation.MALICIOUS
         asn = src_asn if src_asn is not None else self._seen_ips.get(src_ip)
-        if asn in VETTED_BENIGN_ASES:
-            return Reputation.BENIGN
-        return Reputation.UNKNOWN
+        return Reputation.label(src_ip in self._malicious_ips, asn)
 
     def malicious_ips(self) -> set[int]:
         return set(self._malicious_ips)

@@ -1,16 +1,12 @@
-"""Wiring: the bus-attached pipeline and post-hoc detection.
+"""The bus-attached incident pipeline and post-hoc detection.
 
-Two ways to run detection:
-
-* **live** — :class:`IncidentPipeline` subscribes to the same
-  :class:`~repro.stream.bus.StreamBus` as the analyzer (always *after*
-  it, so each chunk is sketched before rules see the hour advance) and
-  evaluates rules as tumbling hours seal;
-* **post-hoc** — :func:`detect_incidents` replays a merged
-  :class:`~repro.analysis.dataset.AnalysisDataset` through a fresh
-  analyzer + pipeline in **canonical order**
-  (:func:`repro.stream.bus.canonical_chunks`: hour-major, vantage-minor,
-  original row order within each (vantage, hour) cell).
+:class:`IncidentPipeline` subscribes right after the analyzer
+(:func:`repro.stream.bus.build_stream`), evaluates rules as tumbling
+hours seal, and finalizes when the bus closes.  :func:`detect_incidents`
+publishes a merged :class:`~repro.analysis.dataset.AnalysisDataset`
+through the same pipeline in **canonical order**
+(:func:`repro.stream.bus.canonical_chunks`: hour-major, vantage-minor,
+original row order within each (vantage, hour) cell).
 
 The canonical order is the determinism keystone: the orchestrator's
 merged datasets are bit-identical across shard counts, and the replay
@@ -26,7 +22,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.incident.incidents import AuditLog, IncidentStore
 from repro.incident.rules import IncidentRule, default_rules
 from repro.incident.runbooks import RunbookExecutor
-from repro.stream.bus import StreamChunk, canonical_chunks
+from repro.stream.bus import StreamChunk, build_stream, canonical_chunks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dataset import AnalysisDataset
@@ -38,16 +34,10 @@ __all__ = ["IncidentPipeline", "detect_incidents"]
 class IncidentPipeline:
     """Rules + store + executor behind one ``consume(chunk)`` face."""
 
-    def __init__(
-        self,
-        analyzer: "StreamAnalyzer",
-        rules: Optional[tuple[IncidentRule, ...]] = None,
-        quiet_hours: int = 12,
-        audit: Optional[AuditLog] = None,
-    ) -> None:
+    def __init__(self, analyzer: "StreamAnalyzer", quiet_hours: int = 12) -> None:
         self.analyzer = analyzer
-        self.rules = tuple(rules) if rules is not None else default_rules()
-        self.audit = audit if audit is not None else AuditLog()
+        self.rules = default_rules()
+        self.audit = AuditLog()
         self.store = IncidentStore(self.audit, quiet_hours=quiet_hours)
         #: vantage id -> region, learned from chunks (reweight targets).
         self.regions: dict[str, str] = {}
@@ -77,6 +67,10 @@ class IncidentPipeline:
         self._finalized = True
         self._advance(self.analyzer.hours, final=True)
         self.store.resolve_all(max(self.analyzer.hours - 1, 0))
+
+    def close(self) -> None:
+        """Bus end-of-stream hook: :meth:`finalize`."""
+        self.finalize()
 
     # -- evaluation -----------------------------------------------------
 
@@ -131,29 +125,18 @@ class IncidentPipeline:
         }
 
 
-def detect_incidents(
-    dataset: "AnalysisDataset",
-    rules: Optional[tuple[IncidentRule, ...]] = None,
-    quiet_hours: int = 12,
-    sketch_k: int = 64,
-) -> IncidentPipeline:
+def detect_incidents(dataset: "AnalysisDataset", quiet_hours: int = 12) -> IncidentPipeline:
     """Post-hoc detection over a merged dataset, canonically ordered.
 
     Returns the finalized pipeline; ``pipeline.audit`` is the complete
     (byte-stable) audit log and ``pipeline.executor.blocklist`` the
     auto-emitted entries the closed-loop experiment feeds back.
     """
-    from repro.stream.analyzer import StreamAnalyzer
-
     hours = int(dataset.window.hours)
-    analyzer = StreamAnalyzer(
-        hours=hours,
-        sketch_k=sketch_k,
-        leak_experiment=dataset.leak_experiment,
+    bus, _analyzer, pipeline = build_stream(
+        hours, dataset.leak_experiment, quiet_hours=quiet_hours
     )
-    pipeline = IncidentPipeline(analyzer, rules=rules, quiet_hours=quiet_hours)
     for chunk in canonical_chunks(dataset.tables, hours):
-        analyzer.consume(chunk)
-        pipeline.consume(chunk)
-    pipeline.finalize()
+        bus.publish(chunk)
+    bus.close()
     return pipeline

@@ -175,9 +175,7 @@ class NewHeavyHitterRule(IncidentRule):
         self._seen: dict[str, set] = {}
 
     def evaluate(self, analyzer: "StreamAnalyzer", hour: int) -> list[Signal]:
-        contingency = analyzer.contingency.get("as")
-        if contingency is None:
-            return []
+        contingency = analyzer.contingency["as"]
         signals: list[Signal] = []
         for vantage_id in contingency.groups():
             total = float(analyzer.events_per_vantage.get(vantage_id, 0))
@@ -228,6 +226,10 @@ class CampaignOnsetRule(IncidentRule):
     name = "campaign-onset"
     severity = "critical"
     runbook = "block"
+    #: Bound on the raw-payload -> digest memo (as RuleEngine bounds its
+    #: verdict memo): payloads differing only in ephemeral headers are
+    #: distinct keys, so a live stream would otherwise grow it forever.
+    DIGEST_MEMO_SIZE = 100_000
 
     def __init__(
         self,
@@ -260,19 +262,19 @@ class CampaignOnsetRule(IncidentRule):
         elif payloads:
             asns = np.asarray(chunk.resolved("src_asn"), dtype=np.int64)
             stamps = np.asarray(chunk.resolved("timestamps"), dtype=np.float64)
-            self._note(
+            footprint = self._note(
                 chunk.vantage_id, payloads,
                 int(asns[0]), float(stamps.min()), len(chunk),
             )
-            footprint = self._campaigns[self._digests[bytes(payloads)]]
             footprint[2].update(int(asn) for asn in np.unique(asns))
 
-    def _note(self, vantage_id, payload, asn: int, stamp: float, count: int) -> None:
+    def _note(self, vantage_id, payload, asn: int, stamp: float, count: int) -> list:
         digest = self._digests.get(bytes(payload))
         if digest is None:
             stripped = strip_ephemeral_headers(payload)
             digest = hashlib.sha256(bytes(stripped)).hexdigest()[:12]
-            self._digests[bytes(payload)] = digest
+            if len(self._digests) < self.DIGEST_MEMO_SIZE:
+                self._digests[bytes(payload)] = digest
         footprint = self._campaigns.get(digest)
         if footprint is None:
             preview = bytes(payload).split(b"\r\n", 1)[0][:48]
@@ -281,6 +283,7 @@ class CampaignOnsetRule(IncidentRule):
         footprint[2].add(asn)
         footprint[3] += count
         footprint[4] = min(footprint[4], stamp)
+        return footprint
 
     def evaluate(self, analyzer: "StreamAnalyzer", hour: int) -> list[Signal]:
         signals: list[Signal] = []
@@ -361,11 +364,11 @@ class CredentialLeakRule(IncidentRule):
         return signals
 
 
-def default_rules(trailing_hours: Optional[int] = None) -> tuple[IncidentRule, ...]:
+def default_rules() -> tuple[IncidentRule, ...]:
     """The stock rule catalog, in evaluation order."""
     return (
         VolumeSpikeRule(),
         NewHeavyHitterRule(),
         CampaignOnsetRule(),
-        CredentialLeakRule(trailing_hours=trailing_hours),
+        CredentialLeakRule(),
     )

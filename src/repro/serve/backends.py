@@ -198,6 +198,14 @@ class ServeBackend:
 # ---------------------------------------------------------------------------
 
 
+def _row_values(chunk, name) -> list:
+    """One chunk column as a per-row list, cheaper than ``resolved``."""
+    value = chunk.raw(name)
+    if isinstance(value, np.ndarray):
+        return value[chunk.start:chunk.stop].tolist()
+    return [value] * len(chunk)
+
+
 class ReputationTracker:
     """Bounded per-IP reputation over the stream (GreyNoise's question:
     *who is this scanner?*).
@@ -215,10 +223,10 @@ class ReputationTracker:
     def __init__(self, capacity: int = 65536, rule_engine=None) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        from repro.detection.engine import RuleEngine
+        from repro.detection.classify import MaliciousnessClassifier
 
         self.capacity = capacity
-        self.rule_engine = rule_engine or RuleEngine()
+        self.classifier = MaliciousnessClassifier(rule_engine)
         #: ip -> [asn, events, malicious] in least-recently-seen order.
         self._records: OrderedDict[int, list] = OrderedDict()
         self.evicted = 0
@@ -227,50 +235,25 @@ class ReputationTracker:
         return len(self._records)
 
     def consume(self, chunk) -> None:
-        src_ips = chunk.resolved("src_ip")
-        src_asns = chunk.resolved("src_asn")
-        length = len(chunk)
-
-        credentials = chunk.raw("credentials")
-        if isinstance(credentials, np.ndarray):
-            attempted = [bool(pairs) for pairs in credentials[chunk.start:chunk.stop]]
-        else:
-            attempted = [bool(credentials)] * length
-
-        payload = chunk.raw("payload")
-        port = chunk.raw("dst_port")
-        if isinstance(payload, np.ndarray):
-            payloads = payload[chunk.start:chunk.stop]
-            ports = chunk.resolved("dst_port")
-            verdicts = [
-                bool(value)
-                and self.rule_engine.is_malicious(value, int(ports[index]))
-                for index, value in enumerate(payloads)
-            ]
-        elif isinstance(port, np.ndarray):
-            ports = chunk.resolved("dst_port")
-            verdicts = [
-                bool(payload)
-                and self.rule_engine.is_malicious(payload, int(ports[index]))
-                for index in range(length)
-            ]
-        else:
-            # Scalar broadcast run: one ruleset evaluation for the lot.
-            verdict = bool(payload) and self.rule_engine.is_malicious(
-                payload, int(port)
+        is_malicious = self.classifier.is_malicious_parts
+        verdicts = [
+            is_malicious(payload, int(port), bool(pairs))
+            for payload, port, pairs in zip(
+                _row_values(chunk, "payload"),
+                _row_values(chunk, "dst_port"),
+                _row_values(chunk, "credentials"),
             )
-            verdicts = [verdict] * length
+        ]
 
         records = self._records
-        for index in range(length):
-            ip = int(src_ips[index])
-            malicious = attempted[index] or verdicts[index]
+        for ip, asn, malicious in zip(chunk.resolved("src_ip").tolist(),
+                                      chunk.resolved("src_asn").tolist(), verdicts):
             record = records.get(ip)
             if record is None:
-                records[ip] = [int(src_asns[index]), 1, malicious]
+                records[ip] = [asn, 1, malicious]
                 self._evict_if_needed()
             else:
-                record[0] = int(src_asns[index])
+                record[0] = asn
                 record[1] += 1
                 record[2] = record[2] or malicious
                 records.move_to_end(ip)
@@ -286,19 +269,14 @@ class ReputationTracker:
             self.evicted += 1
 
     def classify(self, ip: int) -> dict:
-        from repro.detection.classify import VETTED_BENIGN_ASES
+        from repro.detection.classify import Reputation
 
         record = self._records.get(ip)
         if record is None:
-            return {"seen": False, "reputation": "unknown", "events": 0, "asn": None}
+            return {"seen": False, "reputation": Reputation.UNKNOWN.value,
+                    "events": 0, "asn": None}
         asn, events, malicious = record
-        if malicious:
-            reputation = "malicious"
-        elif asn in VETTED_BENIGN_ASES:
-            reputation = "benign"
-        else:
-            reputation = "unknown"
-        return {"seen": True, "reputation": reputation,
+        return {"seen": True, "reputation": Reputation.label(malicious, asn).value,
                 "events": int(events), "asn": int(asn)}
 
     def state_bytes(self) -> int:
@@ -492,7 +470,7 @@ class LockedConsumer:
     The ingest thread publishes through this; the query side reads the
     same sketch state under the same lock.  One acquisition covers the
     whole fan-out, so every consumer sees each chunk atomically with
-    respect to queries.
+    respect to queries.  End of stream is forwarded under the lock too.
     """
 
     def __init__(self, lock: threading.Lock, *consumers) -> None:
@@ -504,48 +482,41 @@ class LockedConsumer:
             for consumer in self.consumers:
                 consumer.consume(chunk)
 
+    def close(self) -> None:
+        from repro.stream.bus import close_consumers
+
+        with self.lock:
+            close_consumers(self.consumers)
+
 
 def build_live_pipeline(
     hours: int,
     leak_experiment=None,
     sketch_k: int = 64,
     max_buffered_events: int = 65536,
-    policy: str = "backpressure",
-    tracker_capacity: int = 65536,
-    incidents: bool = False,
+    incidents: bool = True,
 ):
-    """Wire bus → (analyzer, tracker) → LiveBackend for live serving.
+    """Wire the stream pipeline plus a reputation tracker for live serving.
 
-    Returns ``(bus, analyzer, tracker, backend)``.  The analyzer and
-    tracker consume under one shared lock; the returned backend answers
-    queries under the same lock, so an ingest thread can publish while
-    an asyncio server reads, with neither seeing torn state.
-
-    ``incidents=True`` additionally wires a live
-    :class:`~repro.incident.pipeline.IncidentPipeline` into the same
-    locked fan-out (after the analyzer, so rules see sketched hours) and
-    exposes it on the backend's ``/incidents`` and ``/actions``
-    endpoints.  Off by default: detection costs rule evaluations per
-    sealed hour, and servers that only answer sketch queries should not
-    pay it.
+    Returns ``(bus, analyzer, tracker, backend)``.  The whole chain
+    consumes, and closes, as one :class:`LockedConsumer`; the backend
+    answers queries under the same lock, so an ingest thread can publish
+    while an asyncio server reads, with neither seeing torn state.
     """
-    from repro.stream.analyzer import StreamAnalyzer
-    from repro.stream.bus import StreamBus
+    from functools import partial
+
+    from repro.stream.bus import build_stream
 
     lock = threading.Lock()
-    bus = StreamBus(max_buffered_events=max_buffered_events, policy=policy)
-    analyzer = StreamAnalyzer(
-        hours=hours, sketch_k=sketch_k, leak_experiment=leak_experiment
+    tracker = ReputationTracker()
+    bus, analyzer, pipeline = build_stream(
+        hours, leak_experiment,
+        incidents=incidents,
+        sketch_k=sketch_k,
+        max_buffered_events=max_buffered_events,
+        consumers=(tracker,),
+        fan_out=partial(LockedConsumer, lock),
     )
-    tracker = ReputationTracker(capacity=tracker_capacity)
-    consumers = [analyzer, tracker]
-    pipeline = None
-    if incidents:
-        from repro.incident.pipeline import IncidentPipeline
-
-        pipeline = IncidentPipeline(analyzer)
-        consumers.append(pipeline)
-    bus.subscribe(LockedConsumer(lock, *consumers))
     backend = LiveBackend(
         analyzer, bus=bus, tracker=tracker, lock=lock, pipeline=pipeline
     )

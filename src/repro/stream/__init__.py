@@ -8,7 +8,7 @@ leak tests on demand.
 """
 
 from repro.stream.analyzer import CHARACTERISTICS, StreamAnalyzer, StreamSnapshot
-from repro.stream.bus import BusStats, StreamBus, StreamChunk, canonical_chunks
+from repro.stream.bus import BusStats, StreamBus, StreamChunk, build_stream, canonical_chunks
 from repro.stream.sketches import HyperLogLog, SpaceSavingSketch, StreamingContingency
 from repro.stream.watch import (
     WatchOptions,
@@ -26,6 +26,7 @@ __all__ = [
     "StreamBus",
     "StreamChunk",
     "canonical_chunks",
+    "build_stream",
     "HyperLogLog",
     "SpaceSavingSketch",
     "StreamingContingency",

@@ -208,16 +208,12 @@ class StreamAnalyzer:
         self,
         hours: int,
         sketch_k: int = 64,
-        hll_p: int = 12,
         leak_experiment: Optional[LeakExperiment] = None,
-        characteristics: tuple[str, ...] = CHARACTERISTICS,
     ) -> None:
         self.hours = int(hours)
         self.sketch_k = sketch_k
-        self.hll_p = hll_p
-        self.characteristics = tuple(characteristics)
         self.contingency: dict[str, StreamingContingency] = {
-            name: StreamingContingency(sketch_k) for name in self.characteristics
+            name: StreamingContingency(sketch_k) for name in CHARACTERISTICS
         }
         self.windows = TumblingWindows(self.hours)
         self.distinct_sources: dict[str, HyperLogLog] = {}
@@ -247,27 +243,21 @@ class StreamAnalyzer:
         # source AS counts (pre-aggregated per chunk, then sketched);
         # 1-row chunks (live honeypots, per-hour replay cells) skip the
         # np.unique machinery — its fixed cost dwarfs the scalar update.
-        if "as" in self.contingency:
-            asns = chunk.raw("src_asn")
-            if not isinstance(asns, np.ndarray):
-                self.contingency["as"].update(vantage_id, int(asns), float(length))
-            elif length == 1:
-                self.contingency["as"].update(
-                    vantage_id, int(asns[chunk.start]), 1.0
-                )
-            else:
-                values, counts = np.unique(
-                    asns[chunk.start:chunk.stop], return_counts=True
-                )
-                self.contingency["as"].update_counts(
-                    vantage_id,
-                    dict(zip((int(v) for v in values), counts.tolist())),
-                )
+        asns = chunk.raw("src_asn")
+        if not isinstance(asns, np.ndarray):
+            self.contingency["as"].update(vantage_id, int(asns), float(length))
+        elif length == 1:
+            self.contingency["as"].update(vantage_id, int(asns[chunk.start]), 1.0)
+        else:
+            values, counts = np.unique(asns[chunk.start:chunk.stop], return_counts=True)
+            self.contingency["as"].update_counts(
+                vantage_id, dict(zip((int(v) for v in values), counts.tolist())),
+            )
 
         # distinct scanning sources
         hll = self.distinct_sources.get(vantage_id)
         if hll is None:
-            hll = self.distinct_sources[vantage_id] = HyperLogLog(self.hll_p)
+            hll = self.distinct_sources[vantage_id] = HyperLogLog()
         src = chunk.raw("src_ip")
         if not isinstance(src, np.ndarray):
             hll.add(int(src))
@@ -277,16 +267,14 @@ class StreamAnalyzer:
             hll.add_ints(src[chunk.start:chunk.stop])
 
         # payload / credential characteristics (object columns)
-        if "payload" in self.contingency:
-            counts = self._payload_counts(chunk)
-            if counts:
-                self.contingency["payload"].update_counts(vantage_id, counts)
-        if "username" in self.contingency or "password" in self.contingency:
-            usernames, passwords = self._credential_counts(chunk)
-            if usernames and "username" in self.contingency:
-                self.contingency["username"].update_counts(vantage_id, usernames)
-            if passwords and "password" in self.contingency:
-                self.contingency["password"].update_counts(vantage_id, passwords)
+        counts = self._payload_counts(chunk)
+        if counts:
+            self.contingency["payload"].update_counts(vantage_id, counts)
+        usernames, passwords = self._credential_counts(chunk)
+        if usernames:
+            self.contingency["username"].update_counts(vantage_id, usernames)
+        if passwords:
+            self.contingency["password"].update_counts(vantage_id, passwords)
 
         if self.leak is not None:
             self.leak.observe(
@@ -366,7 +354,7 @@ class StreamAnalyzer:
             for vid in busiest
         ]
         top_categories: dict[str, list[tuple[str, list]]] = {}
-        for name in self.characteristics:
+        for name in CHARACTERISTICS:
             contingency = self.contingency[name]
             rows = []
             for vid in busiest[:max_vantages_per_table]:
@@ -376,7 +364,7 @@ class StreamAnalyzer:
             top_categories[name] = rows
         comparisons = {
             name: self.contingency[name].chi_square(top_k)
-            for name in self.characteristics
+            for name in CHARACTERISTICS
             if len(self.contingency[name]) >= 2
         }
         return StreamSnapshot(

@@ -27,20 +27,25 @@ The buffer is bounded in *events*, not chunks.  Two overflow policies:
   criterion for default queue sizes).  Forced flushes are counted.
 * ``"drop"`` — the chunk is discarded and counted, the shape a
   saturated remote collector degrades in.
+
+:func:`build_stream` wires every bus-fed pipeline — bus → analyzer →
+incident pipeline → extras — and :meth:`StreamBus.close` is end of
+stream for all of them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Protocol
+from typing import Callable, Iterable, Iterator, Optional, Protocol
 
 import numpy as np
 
 from repro.sim.events import CapturedEvent, NetworkKind
 from repro.io.table import CHUNK_COLUMNS, TRANSPORT_CODES
 
-__all__ = ["StreamChunk", "BusStats", "StreamBus", "CHUNK_COLUMNS", "canonical_chunks"]
+__all__ = ["StreamChunk", "BusStats", "StreamBus", "CHUNK_COLUMNS", "canonical_chunks",
+           "build_stream"]
 
 
 class StreamChunk:
@@ -153,6 +158,14 @@ class Consumer(Protocol):  # pragma: no cover - typing aid
     def consume(self, chunk: StreamChunk) -> None: ...
 
 
+def close_consumers(consumers) -> None:
+    """End of stream for each consumer in order; those with no ``close`` skip it."""
+    for consumer in consumers:
+        close = getattr(consumer, "close", None)
+        if close is not None:
+            close()
+
+
 @dataclass
 class BusStats:
     """Explicit accounting of everything the bus did."""
@@ -202,6 +215,7 @@ class StreamBus:
         self._queue: deque[StreamChunk] = deque()
         self._buffered_events = 0
         self._subscribers: list[Consumer] = []
+        self._closed = False
         #: Called after every flush that delivered at least one chunk
         #: (the watch service hangs snapshot cadence off this).
         self.on_flush: Optional[Callable[[int], None]] = None
@@ -266,5 +280,53 @@ class StreamBus:
         return delivered
 
     def close(self) -> int:
-        """Flush whatever remains (end of stream)."""
-        return self.flush()
+        """End of stream: flush, then close each subscriber in subscription
+        order, skipping those without ``close``.  A second call does nothing."""
+        if self._closed:
+            return 0
+        self._closed = True
+        delivered = self.flush()
+        close_consumers(self._subscribers)
+        return delivered
+
+
+def build_stream(
+    hours: int,
+    leak_experiment=None,
+    *,
+    incidents: bool = True,
+    quiet_hours: int = 12,
+    sketch_k: int = 64,
+    max_buffered_events: int = 65536,
+    policy: str = "backpressure",
+    consumers: Iterable = (),
+    fan_out: Optional[Callable] = None,
+):
+    """Subscribe analyzer, incident pipeline (unless ``incidents`` is
+    false) and ``consumers`` to a fresh bus, in that order: the rules
+    read the hour the analyzer has just sketched.
+
+    With ``fan_out`` the chain subscribes as the one consumer
+    ``fan_out(*chain)`` (the live server's locked fan-out).  Returns
+    ``(bus, analyzer, incidents)``; a subscriber added afterwards sees
+    each chunk last.
+    """
+    from repro.stream.analyzer import StreamAnalyzer
+
+    bus = StreamBus(max_buffered_events=max_buffered_events, policy=policy)
+    analyzer = StreamAnalyzer(hours=hours, sketch_k=sketch_k,
+                              leak_experiment=leak_experiment)
+    chain = [analyzer]
+    pipeline = None
+    if incidents:
+        from repro.incident.pipeline import IncidentPipeline
+
+        pipeline = IncidentPipeline(analyzer, quiet_hours=quiet_hours)
+        chain.append(pipeline)
+    chain.extend(consumers)
+    if fan_out is None:
+        for consumer in chain:
+            bus.subscribe(consumer)
+    else:
+        bus.subscribe(fan_out(*chain))
+    return bus, analyzer, pipeline

@@ -1,8 +1,8 @@
 """The `cloudwatching watch` service: attach, stream, snapshot.
 
-Three attachment modes, all feeding the same
-:class:`~repro.stream.bus.StreamBus` →
-:class:`~repro.stream.analyzer.StreamAnalyzer` pipeline:
+Three attachment modes, all feeding the
+:func:`~repro.stream.bus.build_stream` pipeline with a
+:class:`SnapshotPrinter` subscribed last:
 
 * :func:`watch_simulation` — tap a simulation's columnar emission path
   while it runs (the CI smoke mode: one process, no sockets, real
@@ -16,7 +16,8 @@ Three attachment modes, all feeding the same
 
 Snapshots render top-k characteristic tables, per-vantage rates and
 distinct-source estimates, spike counts, leak alarms, and the bus's
-drop/backpressure accounting.
+drop/backpressure accounting.  ``bus.close()`` ends each mode: the
+incident pipeline finalizes, then the printer renders the final snapshot.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.stream.analyzer import StreamAnalyzer
-from repro.stream.bus import CHUNK_COLUMNS, StreamBus, StreamChunk, canonical_chunks
+from repro.stream.bus import (CHUNK_COLUMNS, StreamBus, StreamChunk, build_stream,
+                              canonical_chunks)
 
 __all__ = ["WatchOptions", "SnapshotPrinter", "watch_simulation",
            "watch_run_dir", "watch_live"]
@@ -70,7 +72,8 @@ class WatchOptions:
 
 
 class SnapshotPrinter:
-    """Bus subscriber that renders snapshots on an event cadence."""
+    """Bus subscriber that renders snapshots on an event cadence, and
+    the final snapshot when the bus closes."""
 
     def __init__(
         self,
@@ -100,9 +103,11 @@ class SnapshotPrinter:
             while self._next_at <= self.analyzer.events_consumed:
                 self._next_at += options.snapshot_events
 
-    def emit(self, final: bool = False) -> None:
-        if final and self.incidents is not None:
-            self.incidents.finalize()
+    def close(self) -> None:
+        """End of stream: the final snapshot always renders."""
+        self.emit()
+
+    def emit(self) -> None:
         snapshot = self.analyzer.snapshot(
             top_k=self.options.top_k,
             bus_stats=self.bus.stats,
@@ -117,27 +122,21 @@ class SnapshotPrinter:
         self.snapshots_rendered += 1
 
 
-def _pipeline(
+def _printed_stream(
     hours: int,
     options: WatchOptions,
     say: Callable[[str], None],
     leak_experiment=None,
 ) -> tuple[StreamBus, StreamAnalyzer, SnapshotPrinter]:
-    bus = StreamBus(max_buffered_events=options.max_buffered_events,
-                    policy=options.policy)
-    analyzer = StreamAnalyzer(hours=hours, sketch_k=options.sketch_k,
-                              leak_experiment=leak_experiment)
-    incidents = None
-    if options.incidents:
-        from repro.incident.pipeline import IncidentPipeline
-
-        incidents = IncidentPipeline(analyzer)
+    """The stream pipeline for ``options``, with a printer subscribed last."""
+    bus, analyzer, incidents = build_stream(
+        hours, leak_experiment,
+        incidents=options.incidents,
+        sketch_k=options.sketch_k,
+        max_buffered_events=options.max_buffered_events,
+        policy=options.policy,
+    )
     printer = SnapshotPrinter(analyzer, bus, options, say, incidents=incidents)
-    bus.subscribe(analyzer)
-    if incidents is not None:
-        # After the analyzer (rules read sketched hours), before the
-        # printer (snapshots see the hour's incidents).
-        bus.subscribe(incidents)
     bus.subscribe(printer)
     return bus, analyzer, printer
 
@@ -183,7 +182,7 @@ def watch_simulation(
     options = options or WatchOptions()
     window = config.window()
     deployment, population = build_inputs(config)
-    bus, analyzer, printer = _pipeline(
+    bus, analyzer, printer = _printed_stream(
         window.hours, options, say, leak_experiment=deployment.leak_experiment
     )
     say(f"watching a live simulation: {len(population)} campaigns, "
@@ -196,9 +195,7 @@ def watch_simulation(
         tap=bus.table_tap(),
     )
     bus.close()
-    elapsed = time.perf_counter() - started
-    printer.emit(final=True)  # the final snapshot always renders
-    return _summary(bus, analyzer, printer, elapsed)
+    return _summary(bus, analyzer, printer, time.perf_counter() - started)
 
 
 # -- mode 2: attach to an orchestrate spill directory -----------------------
@@ -240,7 +237,7 @@ def watch_run_dir(
                 raise
             time.sleep(poll_seconds)
     hours = config.window().hours
-    bus, analyzer, printer = _pipeline(
+    bus, analyzer, printer = _printed_stream(
         hours, options, say, leak_experiment=deployment.leak_experiment
     )
 
@@ -308,9 +305,7 @@ def watch_run_dir(
     if not processed:
         raise FileNotFoundError(f"no completed shards under {run_dir}")
     bus.close()
-    elapsed = time.perf_counter() - started
-    printer.emit(final=True)
-    summary = _summary(bus, analyzer, printer, elapsed)
+    summary = _summary(bus, analyzer, printer, time.perf_counter() - started)
     summary["shards"] = len(processed)
     return summary
 
@@ -337,7 +332,7 @@ def watch_live(
     # Live timestamps are hours since start; one window hour per wall
     # hour of serving, minimum one.
     hours = max(1, int(np.ceil(duration / 3600.0)))
-    bus, analyzer, printer = _pipeline(hours, options, say)
+    bus, analyzer, printer = _printed_stream(hours, options, say)
 
     async def _serve() -> dict:
         honeypot = LiveHoneypot(
@@ -370,8 +365,6 @@ def watch_live(
 
     started = time.perf_counter()
     extra = asyncio.run(_serve())
-    elapsed = time.perf_counter() - started
-    printer.emit(final=True)
-    summary = _summary(bus, analyzer, printer, elapsed)
+    summary = _summary(bus, analyzer, printer, time.perf_counter() - started)
     summary.update(extra)
     return summary

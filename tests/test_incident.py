@@ -328,6 +328,25 @@ class TestCampaignOnsetRule:
         assert signal.details["events"] == 30
         assert rule.evaluate(_StubAnalyzer(), hour=12) == []  # one-shot
 
+    def test_digest_memo_is_bounded(self, monkeypatch):
+        """Payloads differing only in ``Date:`` are one campaign but
+        distinct memo keys; the memo stops growing at its bound."""
+        monkeypatch.setattr(CampaignOnsetRule, "DIGEST_MEMO_SIZE", 64)
+        rule = CampaignOnsetRule()
+        for second in range(5000):
+            payload = self.PAYLOAD.replace(
+                b"Host: x", b"Host: x\r\nDate: %d" % second)
+            rule.observe(_StubChunk("v1", payload, asns=[64500], stamps=[10.0]))
+        assert len(rule._digests) == 64
+        (footprint,) = rule._campaigns.values()
+        assert footprint[3] == 5000
+
+    def test_digest_memo_bound_leaves_audit_unchanged(
+            self, tiny, tiny_pipeline, monkeypatch):
+        monkeypatch.setattr(CampaignOnsetRule, "DIGEST_MEMO_SIZE", 1)
+        assert detect_incidents(tiny.dataset).audit.to_ndjson() \
+            == tiny_pipeline.audit.to_ndjson()
+
     def test_warmup_fingerprints_are_grandfathered(self):
         rule = CampaignOnsetRule(min_vantages=2, min_events=8, warmup_hours=6)
         for vantage_id in ("v1", "v2", "v3"):
@@ -465,8 +484,6 @@ class TestServeEndpoints:
         for chunk in canonical_chunks(tiny.dataset.tables, hours):
             bus.publish(chunk)
         bus.close()
-        with live.lock:
-            live.pipeline.finalize()
 
         batch = RunDirBackend(run_dir)
         for query in (IncidentsQuery(), IncidentsQuery(status="resolved")):
@@ -483,6 +500,36 @@ class TestServeEndpoints:
         assert a["audit_digest"] == b["audit_digest"]
         blocked = live.actions(ActionsQuery(action="block"))
         assert {r["action"] for r in blocked["actions"]} <= {"block"}
+
+    def test_tapped_live_backend_is_complete_after_bus_close(self, tmp_path):
+        """The ``serve --simulate`` ingest: a tapped simulation, then only
+        ``bus.close()`` — the same incidents ``watch --simulate`` opens."""
+        from repro.experiments.context import build_inputs
+        from repro.sim.engine import SimulationConfig, run_simulation
+        from repro.stream import WatchOptions, watch_simulation
+
+        deployment, population = build_inputs(TINY)
+        bus, _analyzer, _tracker, live = build_live_pipeline(
+            TINY.window().hours, leak_experiment=deployment.leak_experiment,
+            incidents=True,
+        )
+        run_simulation(deployment, population,
+                       SimulationConfig(seed=TINY.seed, window=TINY.window()),
+                       tap=bus.table_tap())
+        bus.close()
+
+        watched = watch_simulation(
+            TINY, WatchOptions(snapshot_events=0,
+                               audit_log=str(tmp_path / "watch.ndjson")),
+            say=lambda _line: None,
+        )
+        counts = live.incidents(IncidentsQuery())["counts"]
+        assert counts == {status: watched["incidents"][status]
+                          for status in ("open", "acknowledged", "resolved")}
+        assert counts["resolved"] > 0
+        actions = live.actions(ActionsQuery())
+        assert actions["audit_records"] == watched["audit_log"]["records"]
+        assert actions["audit_digest"] == watched["audit_log"]["digest"]
 
     def test_disabled_live_backend_reports_enabled_false(self, tiny):
         _bus, _analyzer, _tracker, live = build_live_pipeline(

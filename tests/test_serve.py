@@ -484,6 +484,35 @@ class TestLiveBackend:
             answer = backend.handle("/ip", {"ip": str(ip)})
             assert answer["seen"] is True
             assert answer["reputation"] == "malicious"
+        # With every source tracked, each IP's label is the batch oracle's.
+        sources = set()
+        for table in batch.dataset.tables.values():
+            sources.update(table.src_ip.tolist())
+        assert tracker.evicted == 0 and len(tracker) == len(sources)
+        for ip in sources:
+            answer = backend.handle("/ip", {"ip": str(ip)})
+            assert answer["reputation"] == oracle.reputation(ip).value, ip
+
+    def test_locked_consumer_closes_under_the_lock(self):
+        from repro.serve.backends import LockedConsumer
+
+        lock = threading.Lock()
+        held = []
+
+        class Closing:
+            def consume(self, chunk):
+                pass
+
+            def close(self):
+                held.append(lock.locked())
+
+        class NoClose:
+            def consume(self, chunk):
+                pass
+
+        LockedConsumer(lock, Closing(), NoClose(), Closing()).close()
+        assert held == [True, True]
+        assert not lock.locked()
 
     def test_tracker_capacity_is_bounded(self):
         from repro.io.table import EventTable

@@ -144,6 +144,35 @@ class TestStreamBus:
         with pytest.raises(ValueError):
             StreamBus(policy="bogus")
 
+    def test_close_flushes_then_closes_subscribers_in_order(self):
+        bus = StreamBus()
+        log = []
+
+        class Closing:
+            def __init__(self, name):
+                self.name = name
+
+            def consume(self, chunk):
+                log.append((self.name, len(chunk)))
+
+            def close(self):
+                log.append((self.name, "close"))
+
+        class NoClose:
+            def consume(self, chunk):
+                log.append(("tail", len(chunk)))
+
+        for subscriber in (Closing("a"), NoClose(), Closing("b")):
+            bus.subscribe(subscriber)
+        bus.publish(_chunk(timestamps=[0.1, 0.2]))
+        assert bus.close() == 2
+        assert log == [("a", 2), ("tail", 2), ("b", 2),
+                       ("a", "close"), ("b", "close")]
+        # A second close delivers nothing and closes nothing again.
+        assert bus.close() == 0
+        assert len(log) == 5
+        assert bus.stats.delivered_chunks == 1
+
     def test_on_flush_callback(self):
         bus = StreamBus()
         flushes = []
